@@ -14,7 +14,7 @@ can be diffed against the committed ``benchmarks/baselines`` with
 ``python -m repro.harness.cli bench-compare``.
 
 The invariant auditors run on every ``test_fig*`` benchmark (the
-``REPRO_AUDIT`` environment variable is forced on for those modules), so
+``REPRO_AUDIT`` run option is forced on for those modules), so
 a figure whose bookkeeping drifts fails even when its headline numbers
 still look plausible.
 
@@ -32,9 +32,7 @@ from typing import Dict, List, Sequence
 
 import pytest
 
-from repro.config import resolved_fidelity_mode
-from repro.harness import bench_scale, format_table
-from repro.obs.audit import AUDIT_ENV
+from repro.harness import RunSpec, format_table
 from repro.obs.runstore import RunStore
 
 _TABLES: Dict[str, str] = {}
@@ -54,9 +52,10 @@ def record_table(title: str, columns: Sequence[str], rows) -> str:
 
 
 def record_scorecard(scorecard) -> None:
-    """Register a figure's ``BENCH_*.json`` scorecard for writing."""
-    scorecard.meta.setdefault("bench_scale", bench_scale())
-    scorecard.meta.setdefault("fidelity", resolved_fidelity_mode())
+    """Register a figure's ``BENCH_*.json`` scorecard for writing,
+    stamped with the session's comparable run options."""
+    for key, value in RunSpec.from_env().comparable_meta().items():
+        scorecard.meta.setdefault(key, value)
     _SCORECARDS.append(scorecard)
 
 
@@ -69,7 +68,7 @@ def _audit_fig_benchmarks(request, monkeypatch):
     """
     module_name = getattr(request.module, "__name__", "")
     if module_name.rpartition(".")[2].startswith("test_fig"):
-        monkeypatch.setenv(AUDIT_ENV, "1")
+        monkeypatch.setenv(RunSpec.OPTIONS["audit"][1], "1")
 
 
 def _merge_results(tables: Dict[str, str]) -> str:
@@ -113,7 +112,7 @@ def _record_run(terminalreporter) -> None:
         return
     try:
         rec = RunStore().record(
-            _SCORECARDS, label="bench@%s" % bench_scale(),
+            _SCORECARDS, label="bench@%s" % RunSpec.from_env().scale,
             meta={"source": "pytest-benchmarks"})
         terminalreporter.write_line(
             "run store: recorded run %d (%d figure(s), config %s)"

@@ -13,17 +13,20 @@ cannot fill the port.  Acceptance: FLock retains a strictly larger
 fraction of its uncongested throughput than UD.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.harness import IncastConfig, run_incast, scorecard_incast
+from repro.harness import IncastConfig, RunSpec, run_incast, scorecard_incast
 
 from conftest import record_scorecard, record_table
 
 
 def test_ext_incast(benchmark):
     cfg = IncastConfig()
+    spec = replace(RunSpec.from_env(), audit=True)
     results = benchmark.pedantic(
-        lambda: run_incast(cfg, audit=True), rounds=1, iterations=1)
+        lambda: run_incast(cfg, spec=spec), rounds=1, iterations=1)
 
     rows = []
     for system in ("flock", "ud"):

@@ -21,7 +21,7 @@ import time
 sys.path.insert(0, os.path.dirname(__file__))
 
 from repro.config import ClusterConfig, FidelityConfig, NetConfig
-from repro.harness import bench_scale
+from repro.harness import RunSpec
 from repro.net import build_cluster
 from repro.obs import Scorecard, SimProfile
 from repro.sim import Simulator
@@ -35,7 +35,7 @@ FABRIC_OWNED = ("fabric", "switch", "rnic", "pcie", "flow")
 #: 512 nodes at full scale; the smoke lane shrinks with the usual knob
 #: (ratios survive scaling, and the bench store skips cross-scale
 #: comparisons anyway).
-N_NODES = max(64, int(512 * bench_scale()))
+N_NODES = max(64, int(512 * RunSpec.from_env().scale))
 PER_CLIENT = 4
 NBYTES = 4096
 #: Distinct QP/rkey working set, sized past the RNIC caches so the

@@ -25,7 +25,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 import seed_kernel
 
-from repro.harness import MicrobenchConfig, bench_scale, run_flock
+from repro.harness import MicrobenchConfig, RunSpec, run_flock
 from repro.obs import Scorecard, SimProfile, Telemetry
 from repro.sim import Simulator
 
@@ -34,7 +34,7 @@ from conftest import record_scorecard, record_table
 #: Events per workload trial; scaled down with REPRO_BENCH_SCALE so the
 #: CI smoke lane stays cheap (ratios survive scaling, absolutes do not,
 #: and the bench store already skips cross-scale comparisons).
-EVENTS = max(20_000, int(300_000 * bench_scale()))
+EVENTS = max(20_000, int(300_000 * RunSpec.from_env().scale))
 ROUNDS = 4
 
 

@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..config import CpuConfig, FlockConfig
 from ..net.fabric import Fabric, Node
-from ..sim import Event, Simulator, Store, TrackedStore, null_tracer
+from ..sim import Event, Simulator, Store, TrackedStore
 from ..verbs import (
     CompletionQueue,
     QueuePair,
@@ -146,8 +146,6 @@ class FlockServer:
         self.redistributions = 0
         #: Requests awaiting application-driven dispatch (fl_recv_rpc).
         self.manual_inbox: Store = Store(sim)
-        #: Attach a :class:`repro.sim.Tracer` to record scheduler events.
-        self.tracer = null_tracer
         # Typed instruments (no-op unless telemetry installed on sim).
         metrics = sim.metrics
         self._m_requests = metrics.counter("flock.server.requests")
@@ -382,9 +380,6 @@ class FlockServer:
                         or schannel.processing):
                     # Responses for queued requests will flush shortly —
                     # piggyback the grant on one of them (§5.1).
-                    self.tracer.emit("grant_piggybacked",
-                                     client=request.client_id,
-                                     qp=request.qp_index)
                     self._m_grants_piggybacked.inc()
                     schannel.pending_grant += self.cfg.credit_batch
                     self.sim.spawn(
@@ -394,9 +389,6 @@ class FlockServer:
                 else:
                     # Nothing to piggyback on: the sender is about to run
                     # dry, push a dedicated grant immediately.
-                    self.tracer.emit("grant_dedicated",
-                                     client=request.client_id,
-                                     qp=request.qp_index)
                     self._m_grants_dedicated.inc()
                     yield from self._send_control(
                         schannel,
@@ -406,8 +398,6 @@ class FlockServer:
                     )
             else:
                 # Declined: deactivates the QP at the sender (§5.1).
-                self.tracer.emit("credit_declined", client=request.client_id,
-                                 qp=request.qp_index)
                 self._m_grants_declined.inc()
                 yield from self._send_control(
                     schannel, CreditGrant(qp_index=schannel.index, credits=0),
@@ -481,9 +471,6 @@ class FlockServer:
                 )
                 new_set = sorted(ranked[:budget])
             if new_set != sorted(shandle.active_set):
-                self.tracer.emit("qp_redistribution", client=cid,
-                                 before=len(shandle.active_set),
-                                 after=len(new_set))
                 shandle.active_set = new_set
                 now = self.sim.now
                 for schannel in shandle.channels:
@@ -529,8 +516,6 @@ class FlockClient:
         self.cpu = cpu or node.cpu_cfg
         self.rng = random.Random(seed)
         self.handles: List[ConnectionHandle] = []
-        #: Attach a :class:`repro.sim.Tracer` to record send-path events.
-        self.tracer = null_tracer
         # Typed instruments (no-op unless telemetry installed on sim).
         metrics = sim.metrics
         self._m_rpcs = metrics.counter("flock.client.rpcs")
@@ -828,10 +813,6 @@ class FlockClient:
                 payload=msg, signaled=signaled, span=msg.span,
             ))
             channel.tcq.record_message(len(rpc_slots))
-            if self.tracer.enabled:
-                self.tracer.emit("coalesced_message", qp=channel.index,
-                                 degree=len(rpc_slots),
-                                 bytes=msg.total_bytes)
         for slot in mem_slots:
             op: MemOp = slot.request
             signaled = channel.next_signaled(self.cfg.signal_every)
@@ -878,9 +859,6 @@ class FlockClient:
         if stranded:
             self._m_migrations.inc()
             self._m_stranded.inc(len(stranded))
-            if self.tracer.enabled:
-                self.tracer.emit("migration", qp=channel.index,
-                                 stranded=len(stranded))
             if self.sim.spans.enabled:
                 # The time between the scheduler deactivating this QP and
                 # the migration is a scheduler-imposed hold on every

@@ -7,10 +7,10 @@ from .indexbench import (
     run_flock_index,
     sweep_index,
 )
+from .lifecycle import RunSpec, run_lifecycle
 from .metrics import Recorder, RunResult
 from .microbench import (
     MicrobenchConfig,
-    bench_scale,
     run_erpc,
     run_flock,
     run_raw_reads,
@@ -20,7 +20,7 @@ from .microbench import (
     sweep_raw_reads,
     sweep_ud_rpc,
 )
-from .parallel import SweepPoint, default_jobs, run_sweep
+from .parallel import SweepPoint, run_sweep
 from .scorecards import (
     scorecard_fidelity_ab,
     scorecard_fig2a,
@@ -48,11 +48,10 @@ __all__ = [
     "MicrobenchConfig",
     "Recorder",
     "RunResult",
+    "RunSpec",
     "SweepPoint",
     "TxnBenchConfig",
-    "bench_scale",
     "build_txn_servers",
-    "default_jobs",
     "format_table",
     "print_table",
     "run_erpc",
@@ -64,6 +63,7 @@ __all__ = [
     "run_incast",
     "run_incast_flock",
     "run_incast_ud",
+    "run_lifecycle",
     "run_raw_reads",
     "run_rc",
     "run_sweep",

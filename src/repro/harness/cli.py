@@ -101,6 +101,7 @@ import glob
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import List
 
 from ..obs import (
@@ -116,7 +117,6 @@ from ..obs import (
     enable,
     explain_changepoint,
     explain_sweep_anomalies,
-    faults,
     folded_lines,
     folded_stacks,
     format_attribution,
@@ -126,21 +126,14 @@ from ..obs import (
     what_if_all,
     write_chrome_trace,
 )
-from ..config import (CONGESTION_ENV, FIDELITY_ENV, FIDELITY_MODES, PFC_ENV,
-                      resolved_fidelity_mode)
-from ..obs.audit import AUDIT_ENV
-from ..obs.occupancy import OCCUPANCY_ENV
-from ..obs.simprof import PROFILE_ENV
+from ..config import CONGESTION_ENV, FIDELITY_ENV, FIDELITY_MODES, PFC_ENV
 from .incastbench import IncastConfig, run_incast
-from .indexbench import IndexBenchConfig, sweep_index
+from .indexbench import sweep_index
+from .lifecycle import RunSpec
 from .microbench import (
     MicrobenchConfig,
-    bench_scale,
-    run_erpc,
     run_flock,
-    run_raw_reads,
     run_rc,
-    run_ud_rpc,
     sweep_flock_vs_erpc,
     sweep_raw_reads,
     sweep_ud_rpc,
@@ -153,8 +146,9 @@ from ..search import (
     run_search,
 )
 from ..search.objectives import OBJECTIVES
-from .parallel import SweepPoint, default_jobs, run_sweep
+from .parallel import SweepPoint, run_sweep
 from .scorecards import (
+    run_blocks,
     scorecard_fig2a,
     scorecard_fig9,
     scorecard_fig10,
@@ -165,7 +159,7 @@ from .scorecards import (
     scorecards_fig6_7_8,
 )
 from .tables import latency_cells, latency_columns, print_table
-from .txnbench import TxnBenchConfig, run_fasst_txn, run_flocktx, sweep_txn
+from .txnbench import sweep_txn
 
 #: Default committed-baseline directory for ``bench-compare``.
 DEFAULT_BASELINE_DIR = os.path.join(
@@ -174,107 +168,59 @@ DEFAULT_BASELINE_DIR = os.path.join(
     "benchmarks", "baselines")
 
 
+def _stamp_spec(sc, spec: RunSpec) -> None:
+    """Stamp the comparability keys of ``spec`` into a scorecard's meta."""
+    for key, value in spec.comparable_meta().items():
+        sc.meta.setdefault(key, value)
+
+
 def _emit_scorecard(args, sc) -> None:
     """Write a figure's scorecard when ``--scorecard DIR`` was given."""
     if not getattr(args, "scorecard", None):
         return
-    sc.meta["bench_scale"] = bench_scale()
-    sc.meta.setdefault("fidelity", resolved_fidelity_mode())
+    _stamp_spec(sc, args.spec)
     path = sc.write(args.scorecard)
     print("wrote scorecard: %s (%s)" % (path,
                                         "PASS" if sc.passed else "FAIL"))
 
 
-def _slo_label(key) -> str:
-    """Stable label for a sweep key in the SLO timeline export."""
-    if isinstance(key, tuple):
-        return "/".join(str(part) for part in key)
-    return str(key)
-
-
-def _collect_slo(args, results) -> None:
-    """Gather each run's windowed SLO report for ``--slo-timeline``.
-
-    ``results`` is a figure's sweep dict; values may be RunResults or
-    one-level-nested dicts of RunResults (the index benchmark's shape).
-    Entries without a timeline (derived floats, legacy results) are
-    skipped.  Collection is cheap, so it runs regardless of the flag and
-    :func:`main` decides whether to write the file.
-    """
-    blocks = getattr(args, "_slo_blocks", None)
-    if blocks is None:
-        blocks = args._slo_blocks = {}
-    for key, value in results.items():
-        slo = getattr(value, "slo", None)
-        if slo is not None:
-            blocks[_slo_label(key)] = slo
-        elif isinstance(value, dict):
-            for sub, nested in value.items():
-                nslo = getattr(nested, "slo", None)
-                if nslo is not None:
-                    blocks[_slo_label(key) + "/" + str(sub)] = nslo
-    _collect_profile(args, results)
-
-
-def _collect_profile(args, results) -> None:
-    """Gather each run's cost-observatory and host blocks.
-
-    Piggybacks on :func:`_collect_slo` (every figure command calls it),
-    so ``--profile`` / ``--flame`` / ``--profile-json`` work on all ten
-    figure runners without per-command wiring.  Profile blocks only
-    exist when profiling was enabled; host blocks always do.
-    """
-    pblocks = getattr(args, "_profile_blocks", None)
-    if pblocks is None:
-        pblocks = args._profile_blocks = {}
-    hblocks = getattr(args, "_host_blocks", None)
-    if hblocks is None:
-        hblocks = args._host_blocks = {}
-
-    def take(label, value):
-        prof = getattr(value, "profile", None)
-        if prof is not None:
-            pblocks[label] = prof
-        host = getattr(value, "host", None)
-        if host is not None:
-            hblocks[label] = host
-
-    for key, value in results.items():
-        take(_slo_label(key), value)
-        if isinstance(value, dict):
-            for sub, nested in value.items():
-                take(_slo_label(key) + "/" + str(sub), nested)
+def _collect_runs(args, results) -> None:
+    """Gather each run's SLO, cost-observatory and host blocks for the
+    ``--slo-timeline`` / ``--profile`` exports (every figure command
+    calls this; :func:`main` decides what to write)."""
+    for attr, blocks in args.collected.items():
+        blocks.update(run_blocks(results, attr))
 
 
 def cmd_fig2a(args) -> None:
     """Fig 2(a): RC read scaling sweep."""
     results = sweep_raw_reads(args.qps, n_clients=args.clients,
                               outstanding_per_qp=2,
-                              jobs=default_jobs(args.jobs))
+                              spec=args.spec, jobs=args.spec.jobs)
     rows = [[qps, round(result.mops, 2), result.extras["qp_cache_miss"]]
             for qps, result in results.items()]
     print_table("Fig 2(a): RC read throughput vs #QPs",
                 ["#QPs", "Mops", "cache miss"], rows)
-    _collect_slo(args, results)
+    _collect_runs(args, results)
     _emit_scorecard(args, scorecard_fig2a(results))
 
 
 def cmd_fig2b(args) -> None:
     """Fig 2(b): UD RPC sender sweep."""
     results = sweep_ud_rpc(args.senders, n_clients=args.clients,
-                           jobs=default_jobs(args.jobs))
+                           spec=args.spec, jobs=args.spec.jobs)
     rows = [[senders, round(result.mops, 2), result.extras["server_cpu"]]
             for senders, result in results.items()]
     print_table("Fig 2(b): UD RPC throughput vs #senders",
                 ["#senders", "Mops", "server CPU"], rows)
-    _collect_slo(args, results)
+    _collect_runs(args, results)
 
 
 def cmd_fig6(args) -> None:
     """Figs 6-8: FLock vs eRPC thread sweep."""
     results = sweep_flock_vs_erpc(args.threads, n_clients=args.clients,
                                   outstanding=args.outstanding,
-                                  jobs=default_jobs(args.jobs))
+                                  spec=args.spec, jobs=args.spec.jobs)
     rows = []
     for threads in args.threads:
         flock = results[("flock", args.outstanding, threads)]
@@ -285,7 +231,7 @@ def cmd_fig6(args) -> None:
                 % args.outstanding,
                 ["threads", "FLock Mops", "eRPC Mops"]
                 + latency_columns("FLock") + latency_columns("eRPC"), rows)
-    _collect_slo(args, results)
+    _collect_runs(args, results)
     for sc in scorecards_fig6_7_8(results):
         _emit_scorecard(args, sc)
 
@@ -297,12 +243,12 @@ def cmd_fig9(args) -> None:
         cfg = MicrobenchConfig(n_clients=args.clients,
                                threads_per_client=threads, outstanding=8)
         points.append(SweepPoint("fig9/flock/t=%d" % threads,
-                                 run_flock, (cfg,)))
+                                 run_flock, (cfg,), {"spec": args.spec}))
         for tpq in (1, 2, 4):
             points.append(SweepPoint(
                 "fig9/rc%d/t=%d" % (tpq, threads), run_rc, (cfg,),
-                {"threads_per_qp": tpq}))
-    merged = iter(run_sweep(points, default_jobs(args.jobs)))
+                {"threads_per_qp": tpq, "spec": args.spec}))
+    merged = iter(run_sweep(points, args.spec.jobs))
     results = {}
     rows = []
     for threads in args.threads:
@@ -317,7 +263,7 @@ def cmd_fig9(args) -> None:
                      round(results[("farm4", threads)].mops, 2)])
     print_table("Fig 9: sharing approaches",
                 ["threads", "FLock", "no-share", "FaRM-2", "FaRM-4"], rows)
-    _collect_slo(args, results)
+    _collect_runs(args, results)
     _emit_scorecard(args, scorecard_fig9(results))
 
 
@@ -329,11 +275,11 @@ def cmd_fig10(args) -> None:
                                threads_per_client=32,
                                outstanding=outstanding)
         points.append(SweepPoint("fig10/on/o=%d" % outstanding,
-                                 run_flock, (cfg,)))
+                                 run_flock, (cfg,), {"spec": args.spec}))
         points.append(SweepPoint("fig10/off/o=%d" % outstanding,
                                  run_flock, (cfg,),
-                                 {"coalescing": False}))
-    merged = iter(run_sweep(points, default_jobs(args.jobs)))
+                                 {"coalescing": False, "spec": args.spec}))
+    merged = iter(run_sweep(points, args.spec.jobs))
     results = {}
     rows = []
     for outstanding in args.outstanding_list:
@@ -346,14 +292,14 @@ def cmd_fig10(args) -> None:
     print_table("Fig 10: coalescing impact",
                 ["outstanding", "off Mops", "on Mops", "speedup",
                  "reqs/msg"], rows)
-    _collect_slo(args, results)
+    _collect_runs(args, results)
     _emit_scorecard(args, scorecard_fig10(results))
 
 
 def cmd_fig14(args) -> None:
     """Figs 14/15: FLockTX vs FaSST transactions."""
     results = sweep_txn(args.threads, workload=args.workload,
-                        jobs=default_jobs(args.jobs))
+                        spec=args.spec, jobs=args.spec.jobs)
     rows = []
     for threads in args.threads:
         flock = results[("flocktx", threads)]
@@ -365,7 +311,7 @@ def cmd_fig14(args) -> None:
                 ["threads", "FLockTX Mtxn/s", "FaSST Mtxn/s",
                  "FLockTX p99", "FLockTX p999", "FaSST p99", "FaSST p999"],
                 rows)
-    _collect_slo(args, results)
+    _collect_runs(args, results)
     builder = scorecard_fig14 if args.workload == "tatp" else None
     if builder is None:
         from .scorecards import scorecard_fig15
@@ -387,11 +333,11 @@ def cmd_fig11(args) -> None:
         points.append(SweepPoint(
             "fig11/nosched/s=%d" % size, run_flock, (cfg,),
             {"qps_per_process": 16, "thread_scheduling": False,
-             "flock_cfg": static_cfg}))
+             "flock_cfg": static_cfg, "spec": args.spec}))
         points.append(SweepPoint(
             "fig11/sched/s=%d" % size, run_flock, (cfg,),
-            {"qps_per_process": 16}))
-    merged = iter(run_sweep(points, default_jobs(args.jobs)))
+            {"qps_per_process": 16, "spec": args.spec}))
+    merged = iter(run_sweep(points, args.spec.jobs))
     rows = []
     results = {}
     for size in args.sizes:
@@ -401,7 +347,7 @@ def cmd_fig11(args) -> None:
                      round(with_sched.mops / max(without.mops, 1e-9), 2)])
     print_table("Fig 11: thread scheduling (90% 64B + 10% large)",
                 ["large B", "no-sched Mops", "sched Mops", "speedup"], rows)
-    _collect_slo(args, results)
+    _collect_runs(args, results)
 
 
 def cmd_fig12(args) -> None:
@@ -414,14 +360,14 @@ def cmd_fig12(args) -> None:
             (MicrobenchConfig(n_clients=args.nodes,
                               processes_per_client=procs,
                               threads_per_client=2, outstanding=8),),
-            {"qps_per_process": 1}))
+            {"qps_per_process": 1, "spec": args.spec}))
         points.append(SweepPoint(
             "fig12/1t1q/c=%d" % total, run_flock,
             (MicrobenchConfig(n_clients=args.nodes,
                               processes_per_client=procs,
                               threads_per_client=1, outstanding=8),),
-            {"qps_per_process": 1}))
-    merged = iter(run_sweep(points, default_jobs(args.jobs)))
+            {"qps_per_process": 1, "spec": args.spec}))
+    merged = iter(run_sweep(points, args.spec.jobs))
     results = {}
     rows = []
     for total in args.clients_list:
@@ -433,7 +379,7 @@ def cmd_fig12(args) -> None:
                 ["#clients", "1t/1QP Mops", "2t/1QP Mops", "2t/1QP p99 us",
                  "2t/1QP p999 us"],
                 rows)
-    _collect_slo(args, results)
+    _collect_runs(args, results)
     _emit_scorecard(args, scorecard_fig12(results))
 
 
@@ -441,7 +387,7 @@ def cmd_fig16(args) -> None:
     """Figs 16-18: HydraList over FLock vs eRPC."""
     results = sweep_index(args.threads, n_clients=args.clients,
                           outstanding=args.outstanding,
-                          jobs=default_jobs(args.jobs))
+                          spec=args.spec, jobs=args.spec.jobs)
     rows = []
     for threads in args.threads:
         flock = results[("flock", threads)]
@@ -453,7 +399,7 @@ def cmd_fig16(args) -> None:
     print_table("Figs 16-18: HydraList — FLock vs eRPC",
                 ["threads", "FLock Mops", "eRPC Mops", "FLock get med",
                  "eRPC get med"], rows)
-    _collect_slo(args, results)
+    _collect_runs(args, results)
 
 
 def cmd_incast(args) -> None:
@@ -462,9 +408,8 @@ def cmd_incast(args) -> None:
                        threads_per_client=args.threads,
                        outstanding=args.outstanding)
     if args.pfc_incast:
-        from dataclasses import replace
         cfg.congestion = replace(cfg.congestion, pfc=True)
-    results = run_incast(cfg, jobs=default_jobs(args.jobs))
+    results = run_incast(cfg, spec=args.spec, jobs=args.spec.jobs)
     rows = []
     for key in ("flock", "ud"):
         base = results["%s_base" % key]
@@ -478,7 +423,7 @@ def cmd_incast(args) -> None:
                 % (args.senders, args.threads),
                 ["system", "base Mops", "cong Mops", "retention",
                  "drops", "marks", "pauses"], rows)
-    _collect_slo(args, results)
+    _collect_runs(args, results)
     _emit_scorecard(args, scorecard_incast(results))
 
 
@@ -507,9 +452,9 @@ def _search_summary_scorecard(result) -> Scorecard:
 def cmd_search(args) -> int:
     """Adversarial scenario search (see docs/search.md)."""
     cfg = SearchConfig(objective=args.objective, budget=args.budget,
-                       seed=args.seed, jobs=default_jobs(args.jobs),
+                       seed=args.seed, jobs=args.spec.jobs,
                        warmup=args.warmup, elites=args.elites)
-    result = run_search(cfg, progress=print)
+    result = run_search(cfg, progress=print, spec=args.spec)
     columns, rows = leaderboard_rows(result, args.top)
     print_table("leaderboard: %s (%d evals, %d dedup)"
                 % (result.search_id, result.n_evals, result.n_dedup),
@@ -519,7 +464,7 @@ def cmd_search(args) -> int:
                  else min(3, len(result.leaderboard)))
     details = []
     for rank, entry in enumerate(result.leaderboard[:n_explain], start=1):
-        detail = explain_entry(entry, seed=cfg.seed)
+        detail = explain_entry(entry, seed=cfg.seed, spec=args.spec)
         details.append(detail)
         print()
         print(format_entry(detail, rank))
@@ -544,10 +489,9 @@ def cmd_search(args) -> int:
             detail = details[rank - 1]
         else:
             detail = explain_entry(result.leaderboard[rank - 1],
-                                   seed=cfg.seed)
+                                   seed=cfg.seed, spec=args.spec)
         sc = scorecard_search(name, detail, objective=result.objective)
-        sc.meta["bench_scale"] = bench_scale()
-        sc.meta.setdefault("fidelity", resolved_fidelity_mode())
+        _stamp_spec(sc, args.spec)
         path = sc.write(args.scorecard or ".")
         print("wrote scenario scorecard: %s (%s)"
               % (path, "PASS" if sc.passed else "FAIL"))
@@ -667,7 +611,7 @@ def _explain_live_fig2a(args) -> int:
         # detected anomaly set is byte-identical for any --jobs count.
         results = sweep_raw_reads(args.qps, n_clients=args.clients,
                                   outstanding_per_qp=2,
-                                  jobs=default_jobs(args.jobs))
+                                  spec=args.spec, jobs=args.spec.jobs)
         sc = scorecard_fig2a(results)
     finally:
         if own:
@@ -675,7 +619,7 @@ def _explain_live_fig2a(args) -> int:
                 enable(prev)
             else:
                 disable()
-    _collect_slo(args, results)
+    _collect_runs(args, results)
     _emit_scorecard(args, sc)
     exps, block = _explain_figure("fig2a", sc.meta, tel)
     return _emit_explanations(args, {"fig2a": (exps, block)})
@@ -726,8 +670,8 @@ def cmd_explain(args) -> int:
 def _emit_profile(args) -> None:
     """Print the cost-observatory summary and write ``--flame`` /
     ``--profile-json`` exports from the collected profile blocks."""
-    blocks = getattr(args, "_profile_blocks", {})
-    hosts = getattr(args, "_host_blocks", {})
+    blocks = args.collected["profile"]
+    hosts = args.collected["host"]
     rows = []
     for label in sorted(blocks):
         rep = blocks[label]
@@ -780,14 +724,13 @@ def cmd_profile(args) -> int:
     if not rest:
         print("profile: name a figure to profile (profile fig2a ...)")
         return 2
-    os.environ[PROFILE_ENV] = "1"
-    os.environ[OCCUPANCY_ENV] = "0" if args.no_occupancy else "1"
     argv = []
     if args.flame:
         argv += ["--flame", args.flame]
     if args.census:
         argv += ["--profile-json", args.census]
-    return main(argv + rest)
+    spec = replace(args.spec, profile=True, occupancy=not args.no_occupancy)
+    return _dispatch(build_parser().parse_args(argv + rest), spec)
 
 
 def cmd_bench_compare(args) -> int:
@@ -1138,24 +1081,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: List[str] = None) -> int:
     """Entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.scale is not None:
-        os.environ["REPRO_BENCH_SCALE"] = str(args.scale)
-    if args.audit:
-        os.environ[AUDIT_ENV] = "1"
+    args = build_parser().parse_args(argv)
+    # The fabric modes stay environment-driven: config.py resolves them
+    # wherever a cluster is built, including in sweep workers.
     if args.congestion:
         os.environ[CONGESTION_ENV] = "1"
     if args.pfc:
         os.environ[PFC_ENV] = "1"
     if args.fidelity:
         os.environ[FIDELITY_ENV] = args.fidelity
-    if args.profile or args.flame or args.profile_json:
-        os.environ[PROFILE_ENV] = "1"
-        # Profiling brings occupancy along unless explicitly disabled.
-        os.environ.setdefault(OCCUPANCY_ENV, "1")
-    if args.occupancy:
-        os.environ[OCCUPANCY_ENV] = "1"
+    profile = bool(args.profile or args.flame or args.profile_json)
+    spec = RunSpec.from_env(scale=args.scale, audit=args.audit or None,
+                            profile=profile or None,
+                            occupancy=args.occupancy or None, jobs=args.jobs)
+    return _dispatch(args, spec)
+
+
+def _dispatch(args, spec: RunSpec) -> int:
+    """Run the parsed command under ``spec`` and write its exports."""
+    args.spec = spec
+    args.collected = {"slo": {}, "profile": {}, "host": {}}
     # Spans must accumulate in-process (forces sweeps serial); a
     # metrics-only run can keep --jobs parallelism because sketches and
     # counters merge exactly across workers.
@@ -1164,23 +1109,20 @@ def main(argv: List[str] = None) -> int:
     observing = wants_spans or bool(args.metrics)
     telemetry = (enable(Telemetry(wants_spans=wants_spans))
                  if observing else None)
-    injected_faults = faults.inject_from_env()
-    if injected_faults:
-        print("fault injection active: %s" % ", ".join(injected_faults))
+    if spec.faults:
+        print("fault injection active: %s" % ", ".join(spec.faults))
     try:
         rc = args.fn(args) or 0
     finally:
-        for name in injected_faults:
-            faults.clear(name)
         disable()
     if getattr(args, "slo_timeline", None):
-        blocks = getattr(args, "_slo_blocks", {})
+        blocks = args.collected["slo"]
         with open(args.slo_timeline, "w") as fh:
             json.dump(blocks, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print("wrote SLO timelines: %s (%d runs)"
               % (args.slo_timeline, len(blocks)))
-    if getattr(args, "_profile_blocks", None):
+    if args.collected["profile"]:
         _emit_profile(args)
     if telemetry is not None:
         if args.breakdown:

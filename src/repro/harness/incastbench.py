@@ -28,19 +28,9 @@ from ..baselines import UdEndpoint, UdRpcServer
 from ..config import ClusterConfig, CongestionConfig, FlockConfig, NetConfig
 from ..flock import FlockNode
 from ..net import build_cluster
-from ..sim import Simulator
+from .lifecycle import RunSpec, run_lifecycle
 from .metrics import Recorder, RunResult
-from .microbench import (
-    ECHO_RPC,
-    _attach_profile,
-    _echo_handler,
-    _finish_audit,
-    _install_observatory,
-    _install_telemetry,
-    _prepare_audit,
-    _run_window,
-    bench_scale,
-)
+from .microbench import ECHO_RPC, _echo_handler
 
 __all__ = ["IncastConfig", "run_incast", "run_incast_flock", "run_incast_ud"]
 
@@ -87,10 +77,6 @@ class IncastConfig:
             ecn_kmin_bytes=2_560, ecn_kmax_bytes=7_680,
             pfc_xoff_bytes=7_680, pfc_xon_bytes=2_560))
 
-    def durations(self) -> tuple:
-        scale = bench_scale()
-        return self.warmup_ns * scale, self.measure_ns * scale
-
     def cluster(self, congested: bool) -> ClusterConfig:
         if congested:
             cong = replace(self.congestion, enabled=True, honor_env=False)
@@ -130,125 +116,113 @@ def _switch_extras(fabric) -> dict:
 
 def run_incast_flock(cfg: IncastConfig, *, congested: bool,
                      flock_cfg: Optional[FlockConfig] = None,
-                     telemetry=None, audit: Optional[bool] = None
+                     telemetry=None, spec: Optional[RunSpec] = None
                      ) -> RunResult:
     """One FLock incast leg (all senders → one FLock server)."""
-    sim = Simulator()
     label = "flock-incast %s" % ("cong" if congested else "base")
-    tel = _install_telemetry(sim, telemetry, label)
-    audited, audit_reg = _prepare_audit(sim, tel, audit)
-    warmup, measure = cfg.durations()
-    prof = _install_observatory(sim, warmup, measure)
-    servers, clients, fabric = build_cluster(sim, cfg.cluster(congested))
-    if flock_cfg is None:
-        flock_cfg = FlockConfig(sched_interval_ns=150_000.0,
-                                thread_sched_interval_ns=150_000.0)
-    server = FlockNode(sim, servers[0], fabric, flock_cfg)
-    server.fl_reg_handler(ECHO_RPC, _echo_handler(
-        cfg.resp_size, cfg.handler_ns, sim, warmup + measure / 2))
+    with run_lifecycle(label, cfg.warmup_ns, cfg.measure_ns,
+                       spec, telemetry) as life:
+        sim = life.sim
+        servers, clients, fabric = build_cluster(sim, cfg.cluster(congested))
+        if flock_cfg is None:
+            flock_cfg = FlockConfig(sched_interval_ns=150_000.0,
+                                    thread_sched_interval_ns=150_000.0)
+        server = FlockNode(sim, servers[0], fabric, flock_cfg)
+        server.fl_reg_handler(ECHO_RPC, _echo_handler(
+            life, cfg.resp_size, cfg.handler_ns))
 
-    recorder = Recorder(sim)
-    jitter_rng = random.Random(cfg.seed ^ 0x7EA)
-    handles = []
+        recorder = Recorder(sim)
+        jitter_rng = random.Random(cfg.seed ^ 0x7EA)
+        handles = []
 
-    def worker(fnode, handle, thread_id, rng):
-        while True:
-            if cfg.think_jitter_ns > 0:
-                yield sim.timeout(rng.random() * cfg.think_jitter_ns)
-            started = sim.now
-            yield from fnode.fl_call(handle, thread_id, ECHO_RPC,
-                                     cfg.req_size)
-            recorder.record(started)
+        def worker(fnode, handle, thread_id, rng):
+            while True:
+                if cfg.think_jitter_ns > 0:
+                    yield sim.timeout(rng.random() * cfg.think_jitter_ns)
+                started = sim.now
+                yield from fnode.fl_call(handle, thread_id, ECHO_RPC,
+                                         cfg.req_size)
+                recorder.record(started)
 
-    for c_idx, node in enumerate(clients):
-        fnode = FlockNode(sim, node, fabric, flock_cfg,
-                          seed=cfg.seed + c_idx * 131)
-        handle = fnode.fl_connect(server, n_qps=cfg.qps_per_handle)
-        handles.append(handle)
-        for t_idx in range(cfg.threads_per_client):
-            for _ in range(cfg.outstanding):
-                rng = random.Random(jitter_rng.getrandbits(48))
-                sim.spawn(worker(fnode, handle, t_idx, rng),
-                          name="incast-worker")
+        for c_idx, node in enumerate(clients):
+            fnode = FlockNode(sim, node, fabric, flock_cfg,
+                              seed=cfg.seed + c_idx * 131)
+            handle = fnode.fl_connect(server, n_qps=cfg.qps_per_handle)
+            handles.append(handle)
+            for t_idx in range(cfg.threads_per_client):
+                for _ in range(cfg.outstanding):
+                    rng = random.Random(jitter_rng.getrandbits(48))
+                    sim.spawn(worker(fnode, handle, t_idx, rng),
+                              name="incast-worker")
 
-    _run_window(sim, recorder, warmup, measure, fabric, profile=prof)
-    degree = (sum(h.mean_coalescing_degree() for h in handles)
-              / len(handles) if handles else 1.0)
-    extras = _switch_extras(fabric)
-    extras["throttled_qps"] = sum(
-        1 for h in handles
-        for st in h.congestion_stats(fabric).values() if st["cnps"] > 0)
-    result = recorder.result(
-        system="flock",
-        mean_coalescing_degree=round(degree, 3),
-        server_cpu=round(servers[0].cpu.utilization(), 3),
-        events=sim.events_processed,
-        **extras,
-    )
-    result.telemetry = tel
-    _attach_profile(result, sim, prof)
-    return _finish_audit(audited, sim, audit_reg, result)
+        life.run_window(recorder, fabric)
+        degree = (sum(h.mean_coalescing_degree() for h in handles)
+                  / len(handles) if handles else 1.0)
+        extras = _switch_extras(fabric)
+        extras["throttled_qps"] = sum(
+            1 for h in handles
+            for st in h.congestion_stats(fabric).values() if st["cnps"] > 0)
+        return life.finish(recorder.result(
+            system="flock",
+            mean_coalescing_degree=round(degree, 3),
+            server_cpu=round(servers[0].cpu.utilization(), 3),
+            events=sim.events_processed,
+            **extras,
+        ))
 
 
 def run_incast_ud(cfg: IncastConfig, *, congested: bool,
-                  telemetry=None, audit: Optional[bool] = None) -> RunResult:
+                  telemetry=None, spec: Optional[RunSpec] = None
+                  ) -> RunResult:
     """One UD-RPC incast leg (the HERD/eRPC design point)."""
-    sim = Simulator()
     label = "ud-incast %s" % ("cong" if congested else "base")
-    tel = _install_telemetry(sim, telemetry, label)
-    audited, audit_reg = _prepare_audit(sim, tel, audit)
-    warmup, measure = cfg.durations()
-    prof = _install_observatory(sim, warmup, measure)
-    servers, clients, fabric = build_cluster(sim, cfg.cluster(congested))
-    server = UdRpcServer(sim, servers[0], fabric)
-    server.register_handler(ECHO_RPC, _echo_handler(
-        cfg.resp_size, cfg.handler_ns, sim, warmup + measure / 2))
+    with run_lifecycle(label, cfg.warmup_ns, cfg.measure_ns,
+                       spec, telemetry) as life:
+        sim = life.sim
+        servers, clients, fabric = build_cluster(sim, cfg.cluster(congested))
+        server = UdRpcServer(sim, servers[0], fabric)
+        server.register_handler(ECHO_RPC, _echo_handler(
+            life, cfg.resp_size, cfg.handler_ns))
 
-    recorder = Recorder(sim)
-    jitter_rng = random.Random(cfg.seed ^ 0x7EA)
-    endpoints = []
-    endpoint_counter = [0]
+        recorder = Recorder(sim)
+        jitter_rng = random.Random(cfg.seed ^ 0x7EA)
+        endpoints = []
 
-    def worker(endpoint, server_qp, rng):
-        while True:
-            if cfg.think_jitter_ns > 0:
-                yield sim.timeout(rng.random() * cfg.think_jitter_ns)
-            started = sim.now
-            response = yield from endpoint.call(server, server_qp, ECHO_RPC,
-                                                cfg.req_size)
-            if response is not None:
-                recorder.record(started)
+        def worker(endpoint, server_qp, rng):
+            while True:
+                if cfg.think_jitter_ns > 0:
+                    yield sim.timeout(rng.random() * cfg.think_jitter_ns)
+                started = sim.now
+                response = yield from endpoint.call(server, server_qp,
+                                                    ECHO_RPC, cfg.req_size)
+                if response is not None:
+                    recorder.record(started)
 
-    for node in clients:
-        for _t in range(cfg.threads_per_client):
-            endpoint = UdEndpoint(sim, node, fabric,
-                                  timeout_ns=cfg.ud_timeout_ns)
-            server_qp = server.qp_for_client(endpoint_counter[0])
-            endpoint_counter[0] += 1
-            endpoints.append(endpoint)
-            for _ in range(cfg.outstanding):
-                rng = random.Random(jitter_rng.getrandbits(48))
-                sim.spawn(worker(endpoint, server_qp, rng),
-                          name="incast-worker")
+        for node in clients:
+            for _t in range(cfg.threads_per_client):
+                endpoint = UdEndpoint(sim, node, fabric,
+                                      timeout_ns=cfg.ud_timeout_ns)
+                server_qp = server.qp_for_client(len(endpoints))
+                endpoints.append(endpoint)
+                for _ in range(cfg.outstanding):
+                    rng = random.Random(jitter_rng.getrandbits(48))
+                    sim.spawn(worker(endpoint, server_qp, rng),
+                              name="incast-worker")
 
-    _run_window(sim, recorder, warmup, measure, fabric, profile=prof)
-    extras = _switch_extras(fabric)
-    result = recorder.result(
-        system="ud-rpc",
-        lost_requests=sum(e.lost_requests for e in endpoints),
-        pending_reassembly_bytes=sum(e.reassembler.pending_bytes
-                                     for e in endpoints),
-        server_cpu=round(servers[0].cpu.utilization(), 3),
-        events=sim.events_processed,
-        **extras,
-    )
-    result.telemetry = tel
-    _attach_profile(result, sim, prof)
-    return _finish_audit(audited, sim, audit_reg, result)
+        life.run_window(recorder, fabric)
+        return life.finish(recorder.result(
+            system="ud-rpc",
+            lost_requests=sum(e.lost_requests for e in endpoints),
+            pending_reassembly_bytes=sum(e.reassembler.pending_bytes
+                                         for e in endpoints),
+            server_cpu=round(servers[0].cpu.utilization(), 3),
+            events=sim.events_processed,
+            **_switch_extras(fabric),
+        ))
 
 
 def run_incast(cfg: Optional[IncastConfig] = None, *, telemetry=None,
-               audit: Optional[bool] = None, jobs: int = 1) -> dict:
+               spec: Optional[RunSpec] = None, jobs: int = 1) -> dict:
     """The full four-leg comparison; returns results plus retentions.
 
     ``retention`` is congested throughput over the same system's
@@ -269,7 +243,7 @@ def run_incast(cfg: Optional[IncastConfig] = None, *, telemetry=None,
     points = [
         SweepPoint("incast/%s" % name, fn, (cfg,),
                    {"congested": congested, "telemetry": telemetry,
-                    "audit": audit})
+                    "spec": spec})
         for name, fn, congested in legs]
     merged = run_sweep(points, jobs if telemetry is None else 1)
     results = {name: result

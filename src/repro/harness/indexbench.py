@@ -22,18 +22,9 @@ from ..baselines import ErpcEndpoint, ErpcServer
 from ..config import ClusterConfig, FlockConfig
 from ..flock import FlockNode
 from ..net import build_cluster
-from ..obs.windows import (attach_fidelity_sources, attach_switch_sources,
-                           slo_timeline)
-from ..sim import Simulator, Streams
+from ..sim import Streams
+from .lifecycle import RunSpec, run_lifecycle
 from .metrics import Recorder, RunResult
-from .microbench import (
-    _attach_profile,
-    _finish_audit,
-    _install_observatory,
-    _install_telemetry,
-    _prepare_audit,
-    bench_scale,
-)
 
 __all__ = ["IndexBenchConfig", "run_flock_index", "run_erpc_index",
            "sweep_index"]
@@ -61,10 +52,6 @@ class IndexBenchConfig:
     seed: int = 11
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
 
-    def durations(self) -> tuple:
-        scale = bench_scale()
-        return self.warmup_ns * scale, self.measure_ns * scale
-
 
 def build_index(cfg: IndexBenchConfig) -> HydraList:
     """Bulk-load the experiment's HydraList population."""
@@ -87,149 +74,126 @@ def _handlers(index: HydraList, cfg: IndexBenchConfig):
     return get_handler, scan_handler
 
 
-def _run(sim: Simulator, cfg: IndexBenchConfig, recorders: Dict[str, Recorder],
-         fabric=None, profile=None):
-    warmup, measure = cfg.durations()
-    for recorder in recorders.values():
-        recorder.open_window(warmup, warmup + measure)
-        timeline = slo_timeline(warmup, warmup + measure)
-        if fabric is not None:
-            attach_switch_sources(timeline, fabric)
-            attach_fidelity_sources(timeline, fabric)
-        recorder.attach_slo(timeline)
-    if profile is not None:
-        sim.run_profiled(profile, until=warmup + measure)
-    else:
-        sim.run(until=warmup + measure)
-
-
-def _results(recorders: Dict[str, Recorder], sim: Simulator,
-             system: str, telemetry=None, **extras) -> Dict[str, RunResult]:
+def _results(life, recorders: Dict[str, Recorder], system: str,
+             **extras) -> Dict[str, RunResult]:
+    """Per-recorder results plus the run's totals; the ``get`` result
+    carries the run's profile and audit report."""
     out = {}
     total_ops = 0
     duration = None
     for name, recorder in recorders.items():
         result = recorder.result(system=system, **extras)
-        result.telemetry = telemetry
+        result.telemetry = life.telemetry
+        result.spec = life.spec
         out[name] = result
         total_ops += result.ops
         duration = result.duration_ns
     out["total_mops"] = total_ops / duration * 1e3 if duration else 0.0
-    out["events"] = sim.events_processed
+    out["events"] = life.sim.events_processed
+    life.finish(out["get"])
     return out
 
 
 def run_flock_index(cfg: IndexBenchConfig,
                     flock_cfg: Optional[FlockConfig] = None,
                     telemetry=None,
-                    audit: Optional[bool] = None) -> Dict[str, RunResult]:
+                    spec: Optional[RunSpec] = None) -> Dict[str, RunResult]:
     """90 % get / 10 % scan over FLock RPC."""
-    sim = Simulator()
-    tel = _install_telemetry(sim, telemetry, "flock-index")
-    audited, audit_reg = _prepare_audit(sim, tel, audit)
-    warmup, measure = cfg.durations()
-    prof = _install_observatory(sim, warmup, measure)
-    cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
-    servers, clients, fabric = build_cluster(sim, cluster)
-    if flock_cfg is None:
-        flock_cfg = FlockConfig(sched_interval_ns=150_000.0,
-                                thread_sched_interval_ns=150_000.0)
-    index = build_index(cfg)
-    server = FlockNode(sim, servers[0], fabric, flock_cfg)
-    get_handler, scan_handler = _handlers(index, cfg)
-    server.fl_reg_handler(RPC_GET, get_handler)
-    server.fl_reg_handler(RPC_SCAN, scan_handler)
+    with run_lifecycle("flock-index", cfg.warmup_ns, cfg.measure_ns,
+                       spec, telemetry) as life:
+        sim = life.sim
+        cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
+        servers, clients, fabric = build_cluster(sim, cluster)
+        if flock_cfg is None:
+            flock_cfg = FlockConfig(sched_interval_ns=150_000.0,
+                                    thread_sched_interval_ns=150_000.0)
+        index = build_index(cfg)
+        server = FlockNode(sim, servers[0], fabric, flock_cfg)
+        get_handler, scan_handler = _handlers(index, cfg)
+        server.fl_reg_handler(RPC_GET, get_handler)
+        server.fl_reg_handler(RPC_SCAN, scan_handler)
 
-    streams = Streams(cfg.seed)
-    recorders = {"get": Recorder(sim), "scan": Recorder(sim)}
+        streams = Streams(cfg.seed)
+        recorders = {"get": Recorder(sim), "scan": Recorder(sim)}
 
-    def worker(fnode, handle, thread_id, rng):
-        while True:
-            key = rng.randrange(cfg.n_keys)
-            started = sim.now
-            if rng.random() < cfg.get_fraction:
-                yield from fnode.fl_call(handle, thread_id, RPC_GET,
-                                         GET_REQ_BYTES, key)
-                recorders["get"].record(started)
-            else:
-                yield from fnode.fl_call(handle, thread_id, RPC_SCAN,
-                                         SCAN_REQ_BYTES, key)
-                recorders["scan"].record(started)
+        def worker(fnode, handle, thread_id, rng):
+            while True:
+                key = rng.randrange(cfg.n_keys)
+                started = sim.now
+                if rng.random() < cfg.get_fraction:
+                    yield from fnode.fl_call(handle, thread_id, RPC_GET,
+                                             GET_REQ_BYTES, key)
+                    recorders["get"].record(started)
+                else:
+                    yield from fnode.fl_call(handle, thread_id, RPC_SCAN,
+                                             SCAN_REQ_BYTES, key)
+                    recorders["scan"].record(started)
 
-    for c_idx, node in enumerate(clients):
-        fnode = FlockNode(sim, node, fabric, flock_cfg, seed=cfg.seed + c_idx)
-        handle = fnode.fl_connect(server, n_qps=cfg.threads_per_client)
-        for t_idx in range(cfg.threads_per_client):
-            for k in range(cfg.outstanding):
-                rng = streams.stream("hydra-%d-%d-%d" % (c_idx, t_idx, k))
-                sim.spawn(worker(fnode, handle, t_idx, rng),
-                          name="hydra-worker")
+        for c_idx, node in enumerate(clients):
+            fnode = FlockNode(sim, node, fabric, flock_cfg,
+                              seed=cfg.seed + c_idx)
+            handle = fnode.fl_connect(server, n_qps=cfg.threads_per_client)
+            for t_idx in range(cfg.threads_per_client):
+                for k in range(cfg.outstanding):
+                    rng = streams.stream("hydra-%d-%d-%d" % (c_idx, t_idx, k))
+                    sim.spawn(worker(fnode, handle, t_idx, rng),
+                              name="hydra-worker")
 
-    _run(sim, cfg, recorders, fabric, profile=prof)
-    out = _results(recorders, sim, "flock", telemetry=tel,
-                   server_cpu=round(servers[0].cpu.utilization(), 3))
-    _attach_profile(out["get"], sim, prof)
-    _finish_audit(audited, sim, audit_reg, out["get"])
-    return out
+        life.run_window(list(recorders.values()), fabric)
+        return _results(life, recorders, "flock",
+                        server_cpu=round(servers[0].cpu.utilization(), 3))
 
 
 def run_erpc_index(cfg: IndexBenchConfig, *, telemetry=None,
-                   audit: Optional[bool] = None) -> Dict[str, RunResult]:
+                   spec: Optional[RunSpec] = None) -> Dict[str, RunResult]:
     """90 % get / 10 % scan over eRPC."""
-    sim = Simulator()
-    tel = _install_telemetry(sim, telemetry, "erpc-index")
-    audited, audit_reg = _prepare_audit(sim, tel, audit)
-    warmup, measure = cfg.durations()
-    prof = _install_observatory(sim, warmup, measure)
-    cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
-    servers, clients, fabric = build_cluster(sim, cluster)
-    index = build_index(cfg)
-    server = ErpcServer(sim, servers[0], fabric)
-    get_handler, scan_handler = _handlers(index, cfg)
-    server.register_handler(RPC_GET, get_handler)
-    server.register_handler(RPC_SCAN, scan_handler)
+    with run_lifecycle("erpc-index", cfg.warmup_ns, cfg.measure_ns,
+                       spec, telemetry) as life:
+        sim = life.sim
+        cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
+        servers, clients, fabric = build_cluster(sim, cluster)
+        index = build_index(cfg)
+        server = ErpcServer(sim, servers[0], fabric)
+        get_handler, scan_handler = _handlers(index, cfg)
+        server.register_handler(RPC_GET, get_handler)
+        server.register_handler(RPC_SCAN, scan_handler)
 
-    streams = Streams(cfg.seed)
-    recorders = {"get": Recorder(sim), "scan": Recorder(sim)}
-    endpoint_counter = [0]
+        streams = Streams(cfg.seed)
+        recorders = {"get": Recorder(sim), "scan": Recorder(sim)}
+        n_endpoints = 0
 
-    def worker(endpoint, server_qp, rng):
-        while True:
-            key = rng.randrange(cfg.n_keys)
-            started = sim.now
-            if rng.random() < cfg.get_fraction:
-                response = yield from endpoint.call(server, server_qp,
-                                                    RPC_GET, GET_REQ_BYTES,
-                                                    key)
-                if response is not None:
-                    recorders["get"].record(started)
-            else:
-                response = yield from endpoint.call(server, server_qp,
-                                                    RPC_SCAN, SCAN_REQ_BYTES,
-                                                    key)
-                if response is not None:
-                    recorders["scan"].record(started)
+        def worker(endpoint, server_qp, rng):
+            while True:
+                key = rng.randrange(cfg.n_keys)
+                started = sim.now
+                if rng.random() < cfg.get_fraction:
+                    response = yield from endpoint.call(
+                        server, server_qp, RPC_GET, GET_REQ_BYTES, key)
+                    if response is not None:
+                        recorders["get"].record(started)
+                else:
+                    response = yield from endpoint.call(
+                        server, server_qp, RPC_SCAN, SCAN_REQ_BYTES, key)
+                    if response is not None:
+                        recorders["scan"].record(started)
 
-    for c_idx, node in enumerate(clients):
-        for t_idx in range(cfg.threads_per_client):
-            endpoint = ErpcEndpoint(sim, node, fabric)
-            server_qp = server.qp_for_client(endpoint_counter[0])
-            endpoint_counter[0] += 1
-            for k in range(cfg.outstanding):
-                rng = streams.stream("hydra-%d-%d-%d" % (c_idx, t_idx, k))
-                sim.spawn(worker(endpoint, server_qp, rng),
-                          name="hydra-worker")
+        for c_idx, node in enumerate(clients):
+            for t_idx in range(cfg.threads_per_client):
+                endpoint = ErpcEndpoint(sim, node, fabric)
+                server_qp = server.qp_for_client(n_endpoints)
+                n_endpoints += 1
+                for k in range(cfg.outstanding):
+                    rng = streams.stream("hydra-%d-%d-%d" % (c_idx, t_idx, k))
+                    sim.spawn(worker(endpoint, server_qp, rng),
+                              name="hydra-worker")
 
-    _run(sim, cfg, recorders, fabric, profile=prof)
-    out = _results(recorders, sim, "erpc", telemetry=tel,
-                   server_cpu=round(servers[0].cpu.utilization(), 3))
-    _attach_profile(out["get"], sim, prof)
-    _finish_audit(audited, sim, audit_reg, out["get"])
-    return out
+        life.run_window(list(recorders.values()), fabric)
+        return _results(life, recorders, "erpc",
+                        server_cpu=round(servers[0].cpu.utilization(), 3))
 
 
 def sweep_index(threads_list, *, n_clients: int = 22, outstanding: int = 8,
-                jobs: int = 1) -> dict:
+                spec: Optional[RunSpec] = None, jobs: int = 1) -> dict:
     """Figs. 16-18: HydraList over FLock vs eRPC across a thread ramp.
 
     Returns ``{(system, threads): result-dict}``; each result dict is
@@ -242,9 +206,11 @@ def sweep_index(threads_list, *, n_clients: int = 22, outstanding: int = 8,
                                threads_per_client=threads,
                                outstanding=outstanding)
         points.append(SweepPoint(
-            "fig16/flock/t=%d" % threads, run_flock_index, (cfg,)))
+            "fig16/flock/t=%d" % threads, run_flock_index, (cfg,),
+            {"spec": spec}))
         points.append(SweepPoint(
-            "fig16/erpc/t=%d" % threads, run_erpc_index, (cfg,)))
+            "fig16/erpc/t=%d" % threads, run_erpc_index, (cfg,),
+            {"spec": spec}))
     merged = iter(run_sweep(points, jobs))
     results = {}
     for threads in threads_list:

@@ -111,8 +111,8 @@ class RunResult:
     #: The :class:`repro.obs.Telemetry` active during the run (None when
     #: observability was not enabled) — holds spans and metric values.
     telemetry: Optional[object] = field(default=None, repr=False)
-    #: End-of-run :class:`repro.obs.AuditReport` (None unless the run
-    #: was audited via ``--audit`` / ``REPRO_AUDIT`` / ``audit=True``).
+    #: End-of-run :class:`repro.obs.AuditReport` (None unless the run's
+    #: spec asked for an audit).
     audit_report: Optional[object] = field(default=None, repr=False)
     #: Windowed SLO timeline report (plain JSON-safe dict from
     #: :meth:`repro.obs.windows.SloTimeline.report`); None when no
@@ -134,8 +134,12 @@ class RunResult:
     #: Cost-observatory report (plain dict from
     #: :meth:`repro.obs.simprof.SimProfile.report`, with the occupancy
     #: heatmap under ``"occupancy"`` when tracked); None unless the run
-    #: was profiled via ``--profile`` / ``REPRO_PROFILE``.
+    #: was profiled or tracked occupancy.
     profile: Optional[Dict[str, object]] = field(default=None, repr=False)
+    #: The :class:`repro.harness.lifecycle.RunSpec` the run executed
+    #: under (None only for hand-built results); scorecards read the
+    #: run's scale and fidelity from it.
+    spec: Optional[object] = field(default=None, repr=False)
 
     @property
     def mops(self) -> float:

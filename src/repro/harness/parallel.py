@@ -2,9 +2,10 @@
 
 Every figure in the reproduction is a *sweep*: a list of independent
 (config → RunResult) evaluations whose only shared state is the printed
-table at the end.  Each point is a pure function of its arguments and
-the inherited environment (``REPRO_BENCH_SCALE``, ``REPRO_AUDIT``, ...):
-all randomness comes from seeds carried in the config (or derived via
+table at the end.  Each point is a pure function of its arguments —
+including the run's :class:`repro.harness.lifecycle.RunSpec`, which the
+caller resolves once and carries in every point's kwargs.  All
+randomness comes from seeds carried in the config (or derived via
 :meth:`repro.sim.rand.Streams.child` from the point's stable identity),
 never from global state.  That purity is the whole contract — it is what
 makes ``--jobs N`` output byte-identical to a serial run, regardless of
@@ -17,9 +18,9 @@ of :class:`SweepPoint`\\ s and returns their results *in input order*:
   exactly the code path the pre-parallel harness used, kept as the
   reference semantics.
 * ``jobs > 1``: fan the points over a ``multiprocessing`` pool.  Workers
-  inherit the environment, execute points with ``chunksize=1`` (sweep
-  points have wildly different costs — Fig. 2a's 2816-QP point dwarfs
-  its 22-QP point), and ship back :class:`repro.harness.metrics.RunResult`
+  execute points with ``chunksize=1`` (sweep points have wildly
+  different costs — Fig. 2a's 2816-QP point dwarfs its 22-QP point),
+  and ship back :class:`repro.harness.metrics.RunResult`
   payloads (including audit reports) by pickling.
 
 Two deliberate guard rails:
@@ -45,18 +46,13 @@ Two deliberate guard rails:
 from __future__ import annotations
 
 import multiprocessing
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..obs import Telemetry, current_telemetry, disable, enable
 from .metrics import RunResult
 
-__all__ = ["SweepPoint", "run_sweep", "default_jobs"]
-
-#: Environment override for the default worker count (used by tests and
-#: CI to exercise the parallel path without threading a flag through).
-JOBS_ENV = "REPRO_JOBS"
+__all__ = ["SweepPoint", "run_sweep"]
 
 
 @dataclass
@@ -77,19 +73,6 @@ class SweepPoint:
 
     def run(self) -> Any:
         return self.fn(*self.args, **self.kwargs)
-
-
-def default_jobs(requested: int = None) -> int:
-    """Resolve the worker count: explicit flag > env > serial."""
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get(JOBS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _scrub(result: Any) -> Any:
@@ -142,7 +125,7 @@ def run_sweep(points: Sequence[SweepPoint], jobs: int = 1
     """Evaluate every point; return ``[(key, result), ...]`` in input
     order — identical for any ``jobs``."""
     points = list(points)
-    jobs = default_jobs(jobs)
+    jobs = max(1, jobs)
     tel = current_telemetry()
     if tel is not None and not getattr(tel, "wants_spans", True):
         return _run_sweep_metrics_only(points, jobs, tel)

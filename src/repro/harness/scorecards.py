@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Optional
 from ..obs import Scorecard
 from ..obs.anomaly import detect_sweep_anomalies
 from ..obs.explain import attribution_blocks
+from .lifecycle import RunSpec
 
 __all__ = [
     "attach_anomalies",
@@ -26,6 +27,7 @@ __all__ = [
     "attach_host",
     "attach_profile",
     "attach_slo",
+    "run_blocks",
     "scorecard_fig2a",
     "scorecards_fig6_7_8",
     "scorecard_fig9",
@@ -63,11 +65,43 @@ def attach_attribution(sc: Scorecard, results: Iterable) -> None:
         sc.meta["attribution"] = blocks
 
 
-def _slo_label(key) -> str:
+def _run_label(key) -> str:
     """Stable string label for a sweep key (tuples join with '/')."""
     if isinstance(key, tuple):
         return "/".join(str(part) for part in key)
     return str(key)
+
+
+def _iter_runs(results: Dict):
+    """``(label, value)`` for every run of a figure's sweep dict.
+
+    Values may be results or one-level dicts of results (the index
+    benchmark's shape, labelled ``key/sub``); callers read the blocks
+    they want with ``getattr`` so derived scalars fall through.
+    """
+    for key, value in results.items():
+        label = _run_label(key)
+        yield label, value
+        if isinstance(value, dict):
+            for sub, nested in value.items():
+                yield label + "/" + str(sub), nested
+
+
+def run_blocks(results: Dict, attr: str) -> Dict[str, object]:
+    """``{label: block}`` of every run whose result carries a non-empty
+    ``attr`` (``slo``, ``host``, ``profile``, ``anomalies``)."""
+    return {label: block for label, value in _iter_runs(results)
+            for block in (getattr(value, attr, None),) if block}
+
+
+def _run_spec(results: Dict) -> RunSpec:
+    """The spec a sweep ran under (the default spec when no result
+    carries one, e.g. hand-built results)."""
+    for _label, value in _iter_runs(results):
+        spec = getattr(value, "spec", None)
+        if spec is not None:
+            return spec
+    return RunSpec()
 
 
 def attach_slo(sc: Scorecard, results: Dict) -> None:
@@ -82,11 +116,7 @@ def attach_slo(sc: Scorecard, results: Dict) -> None:
     block is omitted entirely when no point has one, leaving legacy
     scorecards byte-identical.
     """
-    blocks: Dict[str, dict] = {}
-    for key, result in results.items():
-        slo = getattr(result, "slo", None)
-        if slo is not None:
-            blocks[_slo_label(key)] = slo
+    blocks = run_blocks(results, "slo")
     if blocks:
         sc.meta["slo"] = blocks
 
@@ -104,11 +134,7 @@ def attach_host(sc: Scorecard, results: Dict) -> None:
     entirely when no point carries one, keeping hand-built and legacy
     results byte-identical.
     """
-    runs: Dict[str, dict] = {}
-    for key, result in results.items():
-        host = getattr(result, "host", None)
-        if host is not None:
-            runs[_slo_label(key)] = host
+    runs = run_blocks(results, "host")
     if not runs:
         return
     wall = sum(block["wall_s"] for block in runs.values())
@@ -130,11 +156,7 @@ def attach_profile(sc: Scorecard, results: Dict) -> None:
     ``sc.meta["profile"][label]``.  Omitted entirely when the run was
     not profiled, so default scorecards stay byte-identical.
     """
-    blocks: Dict[str, dict] = {}
-    for key, result in results.items():
-        prof = getattr(result, "profile", None)
-        if prof is not None:
-            blocks[_slo_label(key)] = prof
+    blocks = run_blocks(results, "profile")
     if blocks:
         sc.meta["profile"] = blocks
 
@@ -159,11 +181,7 @@ def attach_anomalies(sc: Scorecard, results: Dict,
     block: Dict[str, object] = {}
     if sweep:
         block["sweep"] = sweep
-    runs = {}
-    for key, result in results.items():
-        found = getattr(result, "anomalies", None)
-        if found:
-            runs[_slo_label(key)] = found
+    runs = run_blocks(results, "anomalies")
     if runs:
         block["runs"] = runs
     if block and labels:
@@ -206,16 +224,15 @@ def _fig2a_slo_check(sc: Scorecard, results: Dict[int, object],
         % (max(post_pts), post_p99, max(pre_pts), pre_p99))
 
 
-def _fig2a_attribution_check(sc: Scorecard, qps_points: List[int],
+def _fig2a_attribution_check(sc: Scorecard, results: Dict[int, object],
                              qp_cache_entries: int) -> None:
     """When traced at full scale, assert the attribution narrative: the
     QP-cache PCIe stall is negligible before the cliff and the dominant
     critical-path resource after it."""
-    from .microbench import bench_scale  # no cycle: microbench != scorecards
-
     blocks = sc.meta.get("attribution")
-    if not blocks or bench_scale() != 1.0:
+    if not blocks or _run_spec(results).scale != 1.0:
         return
+    qps_points = sorted(results)
 
     def shares_at(qps: int) -> Optional[Dict[str, float]]:
         return blocks.get("rc-read qps=%d" % qps, {}).get("shares")
@@ -251,9 +268,7 @@ def _fig2a_profile_check(sc: Scorecard, results: Dict[int, object]) -> None:
     fabric-side machinery — RC reads are wire transfers, so the verbs
     read pipeline and its transfer/completion plumbing own the event
     stream, not timers or the application."""
-    from .microbench import bench_scale  # no cycle: microbench != scorecards
-
-    if bench_scale() != 1.0:
+    if _run_spec(results).scale != 1.0:
         return
     profiled = {q: r.profile for q, r in results.items()
                 if getattr(r, "profile", None)
@@ -316,7 +331,7 @@ def scorecard_fig2a(results: Dict[int, object],
     attach_slo(sc, results)
     _fig2a_slo_check(sc, results, qp_cache_entries)
     attach_attribution(sc, results.values())
-    _fig2a_attribution_check(sc, xs, qp_cache_entries)
+    _fig2a_attribution_check(sc, results, qp_cache_entries)
     attach_host(sc, results)
     attach_profile(sc, results)
     _fig2a_profile_check(sc, results)

@@ -33,16 +33,8 @@ from ..flock import FlockNode
 from ..net import build_cluster
 from ..sim import Simulator, Streams
 from ..workloads import SmallbankWorkload, TatpWorkload
+from .lifecycle import RunSpec, run_lifecycle
 from .metrics import Recorder, RunResult
-from .microbench import (
-    _attach_profile,
-    _finish_audit,
-    _install_observatory,
-    _install_telemetry,
-    _prepare_audit,
-    _run_window,
-    bench_scale,
-)
 
 __all__ = ["TxnBenchConfig", "run_flocktx", "run_fasst_txn",
            "build_txn_servers", "sweep_txn"]
@@ -65,10 +57,6 @@ class TxnBenchConfig:
     measure_ns: float = 800_000.0
     seed: int = 7
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
-
-    def durations(self) -> tuple:
-        scale = bench_scale()
-        return self.warmup_ns * scale, self.measure_ns * scale
 
     def n_keys(self) -> int:
         if self.workload == "tatp":
@@ -157,103 +145,96 @@ def _result(recorder: Recorder, coordinators: List[Coordinator],
 
 def run_flocktx(cfg: TxnBenchConfig,
                 flock_cfg: Optional[FlockConfig] = None,
-                telemetry=None, audit: Optional[bool] = None) -> RunResult:
+                telemetry=None, spec: Optional[RunSpec] = None) -> RunResult:
     """FLockTX: the transaction protocol over FLock RPC + fl_read."""
-    sim = Simulator()
-    tel = _install_telemetry(sim, telemetry, "flocktx")
-    audited, audit_reg = _prepare_audit(sim, tel, audit)
-    warmup, measure = cfg.durations()
-    prof = _install_observatory(sim, warmup, measure)
-    cluster = replace(cfg.cluster, n_clients=cfg.n_clients,
-                      n_servers=cfg.n_servers, seed=cfg.seed)
-    server_hw, client_hw, fabric = build_cluster(sim, cluster)
-    if flock_cfg is None:
-        flock_cfg = FlockConfig(sched_interval_ns=150_000.0,
-                                thread_sched_interval_ns=150_000.0)
-    txn_servers = build_txn_servers(cfg, server_hw)
-    flock_servers = []
-    version_rkeys: Dict[int, int] = {}
-    for s in range(cfg.n_servers):
-        fnode = FlockNode(sim, server_hw[s], fabric, flock_cfg)
-        # Paper §8.5.2: "each client and server use an equal number of
-        # threads" — the server-side worker pool matches, for both
-        # systems, rather than using every core.
-        fnode.server.set_n_workers(cfg.threads_per_client)
-        txn_servers[s].bind(fnode.fl_reg_handler)
-        flock_servers.append(fnode)
-        version_rkeys[s] = txn_servers[s].primary.region.rkey
+    with run_lifecycle("flocktx", cfg.warmup_ns, cfg.measure_ns,
+                       spec, telemetry) as life:
+        sim = life.sim
+        cluster = replace(cfg.cluster, n_clients=cfg.n_clients,
+                          n_servers=cfg.n_servers, seed=cfg.seed)
+        server_hw, client_hw, fabric = build_cluster(sim, cluster)
+        if flock_cfg is None:
+            flock_cfg = FlockConfig(sched_interval_ns=150_000.0,
+                                    thread_sched_interval_ns=150_000.0)
+        txn_servers = build_txn_servers(cfg, server_hw)
+        flock_servers = []
+        version_rkeys: Dict[int, int] = {}
+        for s in range(cfg.n_servers):
+            fnode = FlockNode(sim, server_hw[s], fabric, flock_cfg)
+            # Paper §8.5.2: "each client and server use an equal number
+            # of threads" — the server-side worker pool matches, for both
+            # systems, rather than using every core.
+            fnode.server.set_n_workers(cfg.threads_per_client)
+            txn_servers[s].bind(fnode.fl_reg_handler)
+            flock_servers.append(fnode)
+            version_rkeys[s] = txn_servers[s].primary.region.rkey
 
-    streams = Streams(cfg.seed)
-    recorder = Recorder(sim)
-    coordinators: List[Coordinator] = []
-    client_fnodes = []
-    for c_idx in range(cfg.n_clients):
-        fnode = FlockNode(sim, client_hw[c_idx], fabric, flock_cfg,
-                          seed=cfg.seed + c_idx)
-        handles = {s: fnode.fl_connect(flock_servers[s],
-                                       n_qps=cfg.threads_per_client)
-                   for s in range(cfg.n_servers)}
-        client_fnodes.append((fnode, handles))
+        streams = Streams(cfg.seed)
+        recorder = Recorder(sim)
+        coordinators: List[Coordinator] = []
+        client_fnodes = []
+        for c_idx in range(cfg.n_clients):
+            fnode = FlockNode(sim, client_hw[c_idx], fabric, flock_cfg,
+                              seed=cfg.seed + c_idx)
+            handles = {s: fnode.fl_connect(flock_servers[s],
+                                           n_qps=cfg.threads_per_client)
+                       for s in range(cfg.n_servers)}
+            client_fnodes.append((fnode, handles))
 
-    def make_transport(c_idx, t_idx):
-        fnode, handles = client_fnodes[c_idx]
-        return FlockTxTransport(fnode, handles, version_rkeys, t_idx)
+        def make_transport(c_idx, t_idx):
+            fnode, handles = client_fnodes[c_idx]
+            return FlockTxTransport(fnode, handles, version_rkeys, t_idx)
 
-    _spawn_coordinators(sim, cfg, recorder, make_transport, streams,
-                        coordinators)
-    _run_window(sim, recorder, warmup, measure, fabric, profile=prof)
-    result = _result(recorder, coordinators, sim, system="flocktx",
-                     server_cpu=round(server_hw[0].cpu.utilization(), 3))
-    result.telemetry = tel
-    _attach_profile(result, sim, prof)
-    return _finish_audit(audited, sim, audit_reg, result)
+        _spawn_coordinators(sim, cfg, recorder, make_transport, streams,
+                            coordinators)
+        life.run_window(recorder, fabric)
+        return life.finish(_result(
+            recorder, coordinators, sim, system="flocktx",
+            server_cpu=round(server_hw[0].cpu.utilization(), 3)))
 
 
 def run_fasst_txn(cfg: TxnBenchConfig, *, telemetry=None,
-                  audit: Optional[bool] = None) -> RunResult:
+                  spec: Optional[RunSpec] = None) -> RunResult:
     """The same protocol over FaSST-style UD RPCs (two-sided only)."""
-    sim = Simulator()
-    tel = _install_telemetry(sim, telemetry, "fasst")
-    audited, audit_reg = _prepare_audit(sim, tel, audit)
-    warmup, measure = cfg.durations()
-    prof = _install_observatory(sim, warmup, measure)
-    cluster = replace(cfg.cluster, n_clients=cfg.n_clients,
-                      n_servers=cfg.n_servers, seed=cfg.seed)
-    server_hw, client_hw, fabric = build_cluster(sim, cluster)
-    txn_servers = build_txn_servers(cfg, server_hw)
-    fasst_servers = []
-    for s in range(cfg.n_servers):
-        fsrv = FasstServer(sim, server_hw[s], fabric,
-                           n_workers=max(cfg.threads_per_client, 1))
-        txn_servers[s].bind(fsrv.register_handler)
-        fsrv.start()
-        fasst_servers.append(fsrv)
+    with run_lifecycle("fasst", cfg.warmup_ns, cfg.measure_ns,
+                       spec, telemetry) as life:
+        sim = life.sim
+        cluster = replace(cfg.cluster, n_clients=cfg.n_clients,
+                          n_servers=cfg.n_servers, seed=cfg.seed)
+        server_hw, client_hw, fabric = build_cluster(sim, cluster)
+        txn_servers = build_txn_servers(cfg, server_hw)
+        fasst_servers = []
+        for s in range(cfg.n_servers):
+            fsrv = FasstServer(sim, server_hw[s], fabric,
+                               n_workers=max(cfg.threads_per_client, 1))
+            txn_servers[s].bind(fsrv.register_handler)
+            fsrv.start()
+            fasst_servers.append(fsrv)
 
-    streams = Streams(cfg.seed)
-    recorder = Recorder(sim)
-    coordinators: List[Coordinator] = []
+        streams = Streams(cfg.seed)
+        recorder = Recorder(sim)
+        coordinators: List[Coordinator] = []
 
-    def make_transport(c_idx, t_idx):
-        endpoint = FasstEndpoint(sim, client_hw[c_idx], fabric)
-        servers = {
-            s: (fasst_servers[s], fasst_servers[s].qps[t_idx
-                                                       % len(fasst_servers[s].qps)])
-            for s in range(cfg.n_servers)
-        }
-        return FasstTxTransport(endpoint, servers)
+        def make_transport(c_idx, t_idx):
+            endpoint = FasstEndpoint(sim, client_hw[c_idx], fabric)
+            servers = {
+                s: (fasst_servers[s],
+                    fasst_servers[s].qps[t_idx % len(fasst_servers[s].qps)])
+                for s in range(cfg.n_servers)
+            }
+            return FasstTxTransport(endpoint, servers)
 
-    _spawn_coordinators(sim, cfg, recorder, make_transport, streams,
-                        coordinators)
-    _run_window(sim, recorder, warmup, measure, fabric, profile=prof)
-    result = _result(recorder, coordinators, sim, system="fasst",
-                     server_cpu=round(server_hw[0].cpu.utilization(), 3),
-                     recv_drops=sum(f.recv_drops for f in fasst_servers))
-    result.telemetry = tel
-    _attach_profile(result, sim, prof)
-    return _finish_audit(audited, sim, audit_reg, result)
+        _spawn_coordinators(sim, cfg, recorder, make_transport, streams,
+                            coordinators)
+        life.run_window(recorder, fabric)
+        return life.finish(_result(
+            recorder, coordinators, sim, system="fasst",
+            server_cpu=round(server_hw[0].cpu.utilization(), 3),
+            recv_drops=sum(f.recv_drops for f in fasst_servers)))
 
 
-def sweep_txn(threads_list, *, workload: str = "tatp", jobs: int = 1) -> dict:
+def sweep_txn(threads_list, *, workload: str = "tatp",
+              spec: Optional[RunSpec] = None, jobs: int = 1) -> dict:
     """Figs. 14/15: FLockTX vs FaSST across a thread ramp.
 
     Returns ``{(system, threads): RunResult}`` with the key shape the
@@ -266,10 +247,10 @@ def sweep_txn(threads_list, *, workload: str = "tatp", jobs: int = 1) -> dict:
         cfg = TxnBenchConfig(workload=workload, threads_per_client=threads)
         points.append(SweepPoint(
             "fig14/flocktx/%s/t=%d" % (workload, threads),
-            run_flocktx, (cfg,)))
+            run_flocktx, (cfg,), {"spec": spec}))
         points.append(SweepPoint(
             "fig14/fasst/%s/t=%d" % (workload, threads),
-            run_fasst_txn, (cfg,)))
+            run_fasst_txn, (cfg,), {"spec": spec}))
     merged = iter(run_sweep(points, jobs))
     results = {}
     for threads in threads_list:

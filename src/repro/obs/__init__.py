@@ -46,7 +46,6 @@ from .audit import (
     AuditError,
     AuditReport,
     Violation,
-    audit_enabled,
     run_audit,
 )
 from .benchstore import CompareReport, MetricDelta, compare_dirs, compare_scorecards
@@ -76,7 +75,7 @@ from .explain import (
     top_shift,
 )
 from .export import chrome_trace, format_breakdown, write_chrome_trace
-from .occupancy import OccupancyTracker, occupancy_enabled
+from .occupancy import OccupancyTracker
 from .registry import (
     Counter,
     Gauge,
@@ -87,7 +86,7 @@ from .registry import (
 )
 from .runstore import RunRecord, RunStore, default_store_dir
 from .scorecard import Check, Metric, Scorecard, load_scorecard
-from .simprof import SimProfile, component_bucket, profile_enabled
+from .simprof import SimProfile, component_bucket
 from .sketch import QuantileSketch
 from .span import PHASES, NullSpanLog, Span, SpanLog, null_span_log
 from .telemetry import Telemetry, current_telemetry, disable, enable
@@ -113,7 +112,6 @@ __all__ = [
     "attribute",
     "attribution_blocks",
     "attribution_report",
-    "audit_enabled",
     "compare_dirs",
     "compare_scorecards",
     "critical_path",
@@ -139,8 +137,6 @@ __all__ = [
     "format_attribution",
     "load_scorecard",
     "component_bucket",
-    "occupancy_enabled",
-    "profile_enabled",
     "run_audit",
     "what_if",
     "what_if_all",

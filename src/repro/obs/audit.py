@@ -42,36 +42,23 @@ it instruments.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = [
-    "AUDIT_ENV",
     "Violation",
     "AuditReport",
     "AuditError",
     "AuditContext",
     "DEFAULT_AUDITORS",
-    "audit_enabled",
     "run_audit",
 ]
-
-#: Environment variable that opts harness runs into auditing by default
-#: (the CLI's ``--audit`` flag sets it; benchmark fixtures export it).
-AUDIT_ENV = "REPRO_AUDIT"
 
 #: Relative slack for float-valued identities (time integrals): the DES
 #: is deterministic but ns-scale float sums reassociate across code
 #: paths, so exact ``==`` would be brittle for non-integer quantities.
 _FLOAT_RTOL = 1e-9
 _FLOAT_ATOL = 1e-6
-
-
-def audit_enabled() -> bool:
-    """True when ``REPRO_AUDIT`` asks for end-of-run audits."""
-    return os.environ.get(AUDIT_ENV, "").strip().lower() not in (
-        "", "0", "false", "no", "off")
 
 
 @dataclass

@@ -10,9 +10,11 @@ scorecards, :func:`compare_dirs` matches them up by figure and flags:
 * a shape check that held in the baseline but fails now.
 
 Improvements are reported but never gate.  Comparisons are skipped (not
-failed) when run conditions differ — most importantly ``bench_scale``,
-since scaled-down smoke runs produce numbers that are not comparable to
-full-scale baselines.  The CLI front-end (``repro-bench bench-compare``)
+failed) when run conditions differ — the comparable keys of
+:attr:`repro.harness.lifecycle.RunSpec.COMPARABLE` (``bench_scale``,
+transport fidelity, the congestion and PFC switch modes), since for
+instance scaled-down smoke runs produce numbers that are not comparable
+to full-scale baselines.  The CLI front-end (``repro-bench bench-compare``)
 exits nonzero iff regressions were found, which is the CI gate.
 """
 
@@ -33,11 +35,6 @@ __all__ = [
     "compare_dirs",
 ]
 
-#: Meta keys that must match between baseline and current run for the
-#: comparison to be meaningful.  ``fidelity`` keeps a fluid/hybrid run
-#: from being gated against a packet-model baseline (committed
-#: baselines predating the key compare as before).
-_GATING_META = ("bench_scale", "fidelity")
 
 
 @dataclass
@@ -126,9 +123,11 @@ def compare_scorecards(baseline: Scorecard,
                        current: Scorecard) -> CompareReport:
     """Compare one figure's scorecards; tolerance and direction come
     from the *baseline* (the committed contract)."""
+    from ..harness.lifecycle import RunSpec  # obs is imported by harness
+
     report = CompareReport()
-    for key in _GATING_META:
-        b, c = baseline.meta.get(key), current.meta.get(key)
+    for (key, b), (_key, c) in zip(RunSpec.comparable_items(baseline.meta),
+                                   RunSpec.comparable_items(current.meta)):
         if b is not None and c is not None and b != c:
             report.skipped.append(
                 "%s: %s mismatch (baseline=%s current=%s)"

@@ -9,23 +9,19 @@ that auditor — reports a violation.
 The hook is a module-level set of active fault names.  Instrumented
 sites guard with ``if ACTIVE and "name" in ACTIVE`` so the production
 path costs one truthiness test of an (almost always) empty set.  Faults
-are only ever enabled deliberately: by tests, or by the CLI honoring
-the ``REPRO_FAULTS`` environment variable (a comma-separated fault
+are only ever enabled deliberately: by tests, or by the run lifecycle
+for the faults a run's spec names (``REPRO_FAULTS``, a comma-separated
 list) — which CI uses to manufacture a known-bad run for the run-store
 regression gate.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
-from typing import Iterator, List, Set
+from typing import Iterator, Set
 
-__all__ = ["ACTIVE", "FAULT_NAMES", "FAULTS_ENV", "clear", "inject",
-           "inject_from_env", "injected", "is_active"]
-
-#: Environment variable naming faults to activate (comma-separated).
-FAULTS_ENV = "REPRO_FAULTS"
+__all__ = ["ACTIVE", "FAULT_NAMES", "clear", "inject", "injected",
+           "is_active"]
 
 #: Names of every fault site wired into the stack; ``inject`` rejects
 #: unknown names so a typo cannot silently test nothing.
@@ -61,18 +57,6 @@ def clear(name: str = None) -> None:
         ACTIVE.clear()
     else:
         ACTIVE.discard(name)
-
-
-def inject_from_env() -> List[str]:
-    """Activate every fault named in ``REPRO_FAULTS``; returns the names
-    activated (empty when the variable is unset).  Unknown names raise,
-    exactly like :func:`inject` — a typo'd CI perturbation that silently
-    injected nothing would defeat the regression gate it exists for."""
-    names = [n.strip() for n in
-             os.environ.get(FAULTS_ENV, "").split(",") if n.strip()]
-    for name in names:
-        inject(name)
-    return names
 
 
 def is_active(name: str) -> bool:

@@ -26,38 +26,21 @@ like the ``self._obs`` metrics gating — off means one ``is None`` test
 per call site, and **nothing** here schedules events or touches RNG, so
 enabling occupancy never changes simulation results.
 
-Enable with ``REPRO_OCCUPANCY=1`` or the ``--occupancy`` / ``--profile``
-CLI flags; the harness installs the tracker on ``sim.occupancy``
+Enable with the run spec's ``occupancy`` option (on by default when
+profiling); :func:`repro.harness.lifecycle.run_lifecycle` installs the tracker on ``sim.occupancy``
 *before* the cluster is built (components cache the reference at
 construction, like telemetry).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional
 
-from .windows import windows_per_run
+from .windows import DEFAULT_WINDOWS
 
 __all__ = [
-    "OCCUPANCY_ENV",
     "OccupancyTracker",
-    "occupancy_enabled",
 ]
-
-#: Environment switch (``--occupancy`` and ``--profile`` set it).
-OCCUPANCY_ENV = "REPRO_OCCUPANCY"
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def occupancy_enabled(default: bool = False) -> bool:
-    """True when ``REPRO_OCCUPANCY`` is set truthy."""
-    raw = os.environ.get(OCCUPANCY_ENV)
-    if raw is None:
-        return default
-    return raw.strip().lower() in _TRUTHY
-
 
 class _Series:
     """One resource's accumulating per-window state."""
@@ -93,7 +76,7 @@ class OccupancyTracker:
             raise ValueError("empty occupancy span")
         self.t0 = t0
         self.t1 = t1
-        self.n_windows = n_windows if n_windows else windows_per_run()
+        self.n_windows = n_windows or DEFAULT_WINDOWS
         self.window_ns = (t1 - t0) / self.n_windows
         self._series: Dict[str, _Series] = {}
         self._finished = False

@@ -11,8 +11,9 @@ bench/scorecard run as one JSON line in an append-only log
 * **git context** — commit, branch, and a dirty flag captured at record
   time, so a run is traceable to the code that produced it;
 * **a config fingerprint** — a stable hash of the run's figures and
-  gating meta (``bench_scale``), so comparable runs are recognizable at
-  a glance and incomparable ones are obvious;
+  comparable meta (``RunSpec.COMPARABLE``: scale, fidelity, congestion,
+  PFC), so comparable runs are recognizable at a glance and
+  incomparable ones are obvious;
 * **the full scorecards** — metrics with tolerances, shape checks, and
   meta (including windowed SLO timelines), verbatim.
 
@@ -94,12 +95,13 @@ def git_context(cwd: Optional[str] = None) -> Dict[str, Any]:
 
 def config_fingerprint(scorecards: List[Scorecard]) -> str:
     """Stable short hash of the run's shape: which figures ran and under
-    what gating meta (``bench_scale``, transport fidelity).  Two runs
-    with equal fingerprints are meaningfully diffable — in particular,
-    ``runs diff`` never silently compares a fluid run against a packet
-    baseline."""
-    shape = sorted((sc.figure, sc.meta.get("bench_scale"),
-                    sc.meta.get("fidelity"))
+    what comparable meta (:attr:`repro.harness.lifecycle.RunSpec.
+    COMPARABLE`).  Two runs with equal fingerprints are meaningfully
+    diffable — in particular, ``runs diff`` never silently compares a
+    fluid or congested run against a packet, contention-free one."""
+    from ..harness.lifecycle import RunSpec  # obs is imported by harness
+
+    shape = sorted(RunSpec.fingerprint_row(sc.figure, sc.meta)
                    for sc in scorecards)
     digest = hashlib.sha256(
         json.dumps(shape, sort_keys=True).encode()).hexdigest()

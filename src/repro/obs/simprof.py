@@ -15,7 +15,7 @@ Two instruments share one bucketing scheme:
   timeouts, ``idle`` for events that fire with no listeners).  Counts
   are kept per virtual-time window over the measurement span, riding
   the same windowing math as :class:`repro.obs.windows.SloTimeline`
-  (including the ``REPRO_SLO_WINDOWS`` knob), so census heatmaps line
+  (including the run spec's ``slo_windows``), so census heatmaps line
   up column-for-column with SLO timelines and occupancy heatmaps.
 * **Host-time profiler** — :meth:`repro.sim.core.Simulator.run_profiled`
   brackets every callback batch with ``perf_counter_ns`` and feeds the
@@ -31,38 +31,21 @@ resumes are special-cased — the interesting owner of a
 :class:`~repro.sim.core.Process` resume is the *generator* being
 resumed, not the kernel's ``_resume`` trampoline.
 
-Everything here is opt-in (``REPRO_PROFILE=1`` or ``--profile``) and
+Everything here is opt-in (the run spec's ``profile`` option) and
 touches neither virtual time nor RNG: a profiled run produces the exact
 same simulation results as a plain one, just slower on the host.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Tuple
 
-from .windows import windows_per_run
+from .windows import DEFAULT_WINDOWS
 
 __all__ = [
-    "PROFILE_ENV",
     "SimProfile",
     "component_bucket",
-    "profile_enabled",
 ]
-
-#: Environment switch for the host-time profiler (``--profile`` sets it).
-PROFILE_ENV = "REPRO_PROFILE"
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def profile_enabled(default: bool = False) -> bool:
-    """True when ``REPRO_PROFILE`` is set truthy."""
-    raw = os.environ.get(PROFILE_ENV)
-    if raw is None:
-        return default
-    return raw.strip().lower() in _TRUTHY
-
 
 def component_bucket(filename: str) -> str:
     """Map a code object's filename to its owning component bucket.
@@ -115,7 +98,7 @@ class SimProfile:
             raise ValueError("empty profile measurement span")
         self.t0 = t0
         self.t1 = t1
-        self.n_windows = n_windows if n_windows else windows_per_run()
+        self.n_windows = n_windows or DEFAULT_WINDOWS
         self.window_ns = (t1 - t0) / self.n_windows
         #: host ns per ``component;kind`` bucket.
         self.host_ns: Dict[str, int] = {}

@@ -24,14 +24,10 @@ conservative otherwise.
 Thresholds turn timelines into *SLO violation events*: every window
 whose p50/p99/p999 exceeds its bound — or whose goodput falls below the
 floor — emits an event carrying the window's virtual timestamps.  The
-default thresholds come from the environment so CI and long soak runs
-can arm them without threading parameters::
-
-    REPRO_SLO_WINDOWS=12        # windows per measurement window (default 8)
-    REPRO_SLO_P50_US=5          # optional per-window latency bounds
-    REPRO_SLO_P99_US=50
-    REPRO_SLO_P999_US=200
-    REPRO_SLO_MIN_MOPS=0.5      # optional per-window goodput floor
+window count and thresholds are run options (the ``slo_*`` fields of
+:class:`repro.harness.lifecycle.RunSpec`, settable through the
+``REPRO_SLO_*`` variables), so CI and long soak runs can arm them
+without threading parameters.
 
 Every figure runner attaches a timeline to its
 :class:`repro.harness.metrics.Recorder`; the report rides on
@@ -42,7 +38,6 @@ in scorecard ``meta["slo"]`` blocks, and exports via the CLI's
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -52,41 +47,10 @@ __all__ = [
     "SloThresholds",
     "SloTimeline",
     "attach_switch_sources",
-    "slo_timeline",
-    "windows_per_run",
 ]
-
-#: Environment knobs (see module docstring).
-WINDOWS_ENV = "REPRO_SLO_WINDOWS"
-P50_ENV = "REPRO_SLO_P50_US"
-P99_ENV = "REPRO_SLO_P99_US"
-P999_ENV = "REPRO_SLO_P999_US"
-MIN_MOPS_ENV = "REPRO_SLO_MIN_MOPS"
 
 #: Default number of windows a measurement window is split into.
 DEFAULT_WINDOWS = 8
-
-
-def _env_float(name: str) -> Optional[float]:
-    """Parse an optional float env var; unset or invalid means None."""
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        return None
-
-
-def windows_per_run(default: int = DEFAULT_WINDOWS) -> int:
-    """The configured window count per measurement window (>= 1)."""
-    raw = os.environ.get(WINDOWS_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return max(1, default)
 
 
 @dataclass
@@ -98,13 +62,6 @@ class SloThresholds:
     p999_us: Optional[float] = None
     #: Per-window goodput floor in Mops; windows below it violate.
     min_goodput_mops: Optional[float] = None
-
-    @classmethod
-    def from_env(cls) -> "SloThresholds":
-        """Thresholds armed via the ``REPRO_SLO_*`` environment vars."""
-        return cls(p50_us=_env_float(P50_ENV), p99_us=_env_float(P99_ENV),
-                   p999_us=_env_float(P999_ENV),
-                   min_goodput_mops=_env_float(MIN_MOPS_ENV))
 
     @property
     def armed(self) -> bool:
@@ -141,10 +98,10 @@ class SloTimeline:
             raise ValueError("empty SLO window span")
         self.t0 = t0
         self.t1 = t1
-        self.n_windows = n_windows if n_windows else windows_per_run()
+        self.n_windows = n_windows or DEFAULT_WINDOWS
         self.window_ns = (t1 - t0) / self.n_windows
         self.thresholds = (thresholds if thresholds is not None
-                           else SloThresholds.from_env())
+                           else SloThresholds())
         self.relative_accuracy = relative_accuracy
         self._windows: Dict[int, _Window] = {}
         self._sources: Dict[str, Callable[[], float]] = {}
@@ -278,15 +235,6 @@ class SloTimeline:
         if self.thresholds.armed:
             out["thresholds"] = self.thresholds.to_dict()
         return out
-
-
-def slo_timeline(window_start: float, window_end: float,
-                 n_windows: Optional[int] = None,
-                 thresholds: Optional[SloThresholds] = None) -> SloTimeline:
-    """The timeline every figure runner attaches over its measurement
-    window, honoring the ``REPRO_SLO_*`` environment configuration."""
-    return SloTimeline(window_start, window_end, n_windows=n_windows,
-                       thresholds=thresholds)
 
 
 def attach_switch_sources(timeline: SloTimeline, fabric) -> SloTimeline:

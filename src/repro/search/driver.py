@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..harness.lifecycle import RunSpec
 from ..harness.parallel import SweepPoint, run_sweep
 from ..sim import Streams
 from .mutate import mutate_point
@@ -100,10 +101,12 @@ class SearchResult:
         }
 
 
-def run_search(cfg: SearchConfig, progress=None) -> SearchResult:
+def run_search(cfg: SearchConfig, progress=None,
+               spec: Optional[RunSpec] = None) -> SearchResult:
     """Run one budgeted search; see the module docstring for the
     determinism contract.  ``progress`` (optional callable taking a
-    string) receives one line per generation."""
+    string) receives one line per generation; ``spec`` is the run
+    options every candidate leg runs under."""
     space = cfg.resolved_space()
     objective: Objective = get_objective(cfg.objective)
     if cfg.budget < 1:
@@ -132,7 +135,7 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchResult:
             return
         sweep = [SweepPoint("search/%s" % fp, evaluate_point, (point,),
                             {"seed": cfg.seed,
-                             "trace": objective.needs_trace})
+                             "trace": objective.needs_trace, "spec": spec})
                  for fp, point in fresh.items()]
         for _key, evaluation in run_sweep(sweep, cfg.jobs):
             evaluation["score"] = round(objective.score(evaluation), 6)

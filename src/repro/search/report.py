@@ -23,20 +23,22 @@ from .runner import BASE_LABEL, CONG_LABEL, evaluate_point
 __all__ = ["explain_entry", "leaderboard_rows", "format_entry"]
 
 
-def explain_entry(entry: dict, seed: int) -> dict:
+def explain_entry(entry: dict, seed: int, spec=None) -> dict:
     """One leaderboard entry -> its explained form (JSON-safe).
 
     Entries from a traced objective already carry attribution; others
     are re-evaluated in-process with tracing on (same candidate seed
-    derivation, so throughput/latency numbers reproduce exactly).
-    Returns ``{**entry, "shift", "top_resource", "explanations"}`` where
+    derivation, so throughput/latency numbers reproduce exactly) under
+    ``spec`` (a :class:`repro.harness.lifecycle.RunSpec`; default: the
+    environment's).  Returns ``{**entry, "shift", "top_resource", "explanations"}`` where
     ``explanations`` joins each scenario-leg anomaly to the
     baseline->scenario attribution diff.
     """
     if "shift" in entry:
         traced = entry
     else:
-        traced = evaluate_point(entry["point"], seed=seed, trace=True)
+        traced = evaluate_point(entry["point"], seed=seed, trace=True,
+                                spec=spec)
         traced["score"] = entry.get("score", 0.0)
     blocks = traced.get("attribution", {})
     shifts = traced.get("shift", [])

@@ -9,7 +9,7 @@ from both legs, and (when traced) the critical-path attribution shift
 between the legs.
 
 :func:`evaluate_point` is a module-level function of plain JSON-safe
-arguments returning a plain JSON-safe dict, so the driver can fan it
+arguments (plus the run's frozen ``RunSpec``) returning a plain JSON-safe dict, so the driver can fan it
 across the multiprocessing sweep executor; all candidate randomness
 derives from ``Streams(seed).child("search/<fingerprint>")``, making the
 result a pure function of (root seed, point) — independent of worker
@@ -34,20 +34,11 @@ from ..flock import FlockNode
 from ..net import build_cluster
 from ..obs import Telemetry
 from ..obs.explain import attribution_blocks, shift_table, top_shift
-from ..sim import Simulator, Streams
+from ..sim import Streams
 from ..workloads import BimodalSize, FixedSize
+from ..harness.lifecycle import RunSpec, run_lifecycle
 from ..harness.metrics import Recorder, RunResult
-from ..harness.microbench import (
-    ECHO_RPC,
-    _attach_profile,
-    _echo_handler,
-    _finish_audit,
-    _install_observatory,
-    _install_telemetry,
-    _prepare_audit,
-    _run_window,
-    bench_scale,
-)
+from ..harness.microbench import ECHO_RPC, _echo_handler
 from .space import default_space
 
 __all__ = ["ScenarioConfig", "run_scenario_leg", "evaluate_point",
@@ -86,10 +77,6 @@ class ScenarioConfig:
     @classmethod
     def from_point(cls, point: dict, seed: int = 1) -> "ScenarioConfig":
         return cls(seed=seed, **point)
-
-    def durations(self) -> tuple:
-        scale = bench_scale()
-        return self.warmup_ns * scale, self.measure_ns * scale
 
     def congestion(self, enabled: bool) -> CongestionConfig:
         """ECN/PFC thresholds derive from the buffer depth (the usual
@@ -140,70 +127,66 @@ class ScenarioConfig:
 
 
 def run_scenario_leg(cfg: ScenarioConfig, *, congested: bool,
-                     telemetry=None, audit: Optional[bool] = None
+                     telemetry=None, spec: Optional[RunSpec] = None
                      ) -> RunResult:
     """One leg of a candidate: all senders -> one FLock server."""
-    sim = Simulator()
     label = CONG_LABEL if congested else BASE_LABEL
-    tel = _install_telemetry(sim, telemetry, label)
-    audited, audit_reg = _prepare_audit(sim, tel, audit)
-    warmup, measure = cfg.durations()
-    prof = _install_observatory(sim, warmup, measure)
-    servers, clients, fabric = build_cluster(sim, cfg.cluster(congested))
-    flock_cfg = cfg.flock()
-    server = FlockNode(sim, servers[0], fabric, flock_cfg)
-    server.fl_reg_handler(ECHO_RPC, _echo_handler(
-        cfg.resp_size, cfg.handler_ns, sim, warmup + measure / 2))
+    with run_lifecycle(label, cfg.warmup_ns, cfg.measure_ns,
+                       spec, telemetry) as life:
+        sim = life.sim
+        servers, clients, fabric = build_cluster(sim, cfg.cluster(congested))
+        flock_cfg = cfg.flock()
+        server = FlockNode(sim, servers[0], fabric, flock_cfg)
+        server.fl_reg_handler(ECHO_RPC, _echo_handler(
+            life, cfg.resp_size, cfg.handler_ns))
 
-    recorder = Recorder(sim)
-    jitter_rng = random.Random(cfg.seed ^ 0x7EA)
-    sizegen = cfg.sizegen()
-    handles = []
+        recorder = Recorder(sim)
+        jitter_rng = random.Random(cfg.seed ^ 0x7EA)
+        sizegen = cfg.sizegen()
+        handles = []
 
-    def worker(fnode, handle, thread_id, size, think_ns, rng):
-        while True:
-            if think_ns > 0:
-                yield sim.timeout(rng.random() * think_ns)
-            started = sim.now
-            yield from fnode.fl_call(handle, thread_id, ECHO_RPC, size)
-            recorder.record(started)
+        def worker(fnode, handle, thread_id, size, think_ns, rng):
+            while True:
+                if think_ns > 0:
+                    yield sim.timeout(rng.random() * think_ns)
+                started = sim.now
+                yield from fnode.fl_call(handle, thread_id, ECHO_RPC, size)
+                recorder.record(started)
 
-    for c_idx, node in enumerate(clients):
-        fnode = FlockNode(sim, node, fabric, flock_cfg,
-                          seed=cfg.seed + c_idx * 131)
-        handle = fnode.fl_connect(server, n_qps=cfg.qps_per_handle)
-        handles.append(handle)
-        for t_idx in range(cfg.threads_per_client):
-            size = sizegen.next(t_idx)
-            think_ns = cfg.think_jitter_ns * cfg.think_scale(t_idx)
-            for _ in range(cfg.outstanding):
-                rng = random.Random(jitter_rng.getrandbits(48))
-                sim.spawn(worker(fnode, handle, t_idx, size, think_ns, rng),
-                          name="search-worker")
+        for c_idx, node in enumerate(clients):
+            fnode = FlockNode(sim, node, fabric, flock_cfg,
+                              seed=cfg.seed + c_idx * 131)
+            handle = fnode.fl_connect(server, n_qps=cfg.qps_per_handle)
+            handles.append(handle)
+            for t_idx in range(cfg.threads_per_client):
+                size = sizegen.next(t_idx)
+                think_ns = cfg.think_jitter_ns * cfg.think_scale(t_idx)
+                for _ in range(cfg.outstanding):
+                    rng = random.Random(jitter_rng.getrandbits(48))
+                    sim.spawn(worker(fnode, handle, t_idx, size, think_ns,
+                                     rng),
+                              name="search-worker")
 
-    _run_window(sim, recorder, warmup, measure, fabric, profile=prof)
-    degree = (sum(h.mean_coalescing_degree() for h in handles)
-              / len(handles) if handles else 1.0)
-    sw = fabric.switch
-    extras = {
-        "system": "search-%s" % ("cong" if congested else "base"),
-        "mean_coalescing_degree": round(degree, 3),
-        "server_cpu": round(servers[0].cpu.utilization(), 3),
-        "congested": sw is not None,
-    }
-    if sw is not None:
-        extras.update(
-            pfc=sw.cfg.pfc,
-            buffer_bytes=sw.cfg.buffer_bytes,
-            peak_port_depth_bytes=round(sw.peak_depth_bytes(), 1),
-            switch_drops=sw.total_drops,
-            ecn_marks=sw.total_ecn_marks,
-            pfc_pauses=sw.total_pause_events,
-            cnps=fabric.cnps_delivered)
-    result = recorder.result(**extras)
-    result.telemetry = tel
-    _attach_profile(result, sim, prof)
-    return _finish_audit(audited, sim, audit_reg, result)
+        life.run_window(recorder, fabric)
+        degree = (sum(h.mean_coalescing_degree() for h in handles)
+                  / len(handles) if handles else 1.0)
+        sw = fabric.switch
+        extras = {
+            "system": "search-%s" % ("cong" if congested else "base"),
+            "mean_coalescing_degree": round(degree, 3),
+            "server_cpu": round(servers[0].cpu.utilization(), 3),
+            "congested": sw is not None,
+        }
+        if sw is not None:
+            extras.update(
+                pfc=sw.cfg.pfc,
+                buffer_bytes=sw.cfg.buffer_bytes,
+                peak_port_depth_bytes=round(sw.peak_depth_bytes(), 1),
+                switch_drops=sw.total_drops,
+                ecn_marks=sw.total_ecn_marks,
+                pfc_pauses=sw.total_pause_events,
+                cnps=fabric.cnps_delivered)
+        return life.finish(recorder.result(**extras))
 
 
 def _leg_summary(res: RunResult) -> dict:
@@ -223,7 +206,8 @@ def _leg_summary(res: RunResult) -> dict:
     return out
 
 
-def evaluate_point(point: dict, seed: int = 7, trace: bool = False) -> dict:
+def evaluate_point(point: dict, seed: int = 7, trace: bool = False,
+                   spec: Optional[RunSpec] = None) -> dict:
     """Evaluate one candidate: baseline + congested leg, JSON-safe dict.
 
     With ``trace=True`` each leg runs under a private span-collecting
@@ -242,7 +226,8 @@ def evaluate_point(point: dict, seed: int = 7, trace: bool = False) -> dict:
     blocks = {}
     for congested, leg in ((False, "base"), (True, "cong")):
         tel = Telemetry(wants_spans=True) if trace else None
-        res = run_scenario_leg(cfg, congested=congested, telemetry=tel)
+        res = run_scenario_leg(cfg, congested=congested, telemetry=tel,
+                               spec=spec)
         legs[leg] = res
         if trace:
             blocks.update(attribution_blocks(tel))

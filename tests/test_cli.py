@@ -28,17 +28,21 @@ class TestParser:
         args = build_parser().parse_args(["fig12", "--clients-list", "46"])
         assert args.clients_list == [46]
 
-    def test_scale_flag_sets_env(self, monkeypatch, capsys):
+    def test_scale_flag_sets_spec(self, monkeypatch, capsys, tmp_path):
+        import json
         import os
         monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
-        main(["--scale", "0.5", "list"])
-        assert os.environ["REPRO_BENCH_SCALE"] == "0.5"
+        main(["--scale", "0.5", "--scorecard", str(tmp_path),
+              "fig2a", "--qps", "8", "--clients", "2"])
+        # The flag reaches the runs through the spec, not the process
+        # environment, and the spec stamps the scorecard.
+        assert "REPRO_BENCH_SCALE" not in os.environ
+        sc = json.loads((tmp_path / "BENCH_fig2a.json").read_text())
+        assert sc["meta"]["bench_scale"] == 0.5
 
 
 class TestSmallRuns:
     def test_fig2a_prints_table(self, capsys, monkeypatch):
-        # Register the env key with monkeypatch so the --scale side
-        # effect is rolled back and cannot leak into later tests.
         monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
         main(["--scale", "0.5", "fig2a", "--qps", "8", "--clients", "2"])
         out = capsys.readouterr().out
@@ -55,14 +59,10 @@ class TestSmallRuns:
 class TestProfileCommand:
     @pytest.fixture(autouse=True)
     def _clean_env(self, monkeypatch):
-        # delenv(raising=False) on an *absent* var records nothing to
-        # restore, so env set by the command under test would leak into
-        # later tests.  setenv first registers the original (absent)
-        # state; the delenv then leaves the var unset for the test.
+        # Keep ambient run options out of the spec under test.
         for var in ("REPRO_BENCH_SCALE", "REPRO_PROFILE",
                     "REPRO_OCCUPANCY"):
-            monkeypatch.setenv(var, "pending-delete")
-            monkeypatch.delenv(var)
+            monkeypatch.delenv(var, raising=False)
 
     def test_profile_subcommand_exports(self, capsys, tmp_path):
         flame = tmp_path / "fig2a.folded"

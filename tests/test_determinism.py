@@ -11,6 +11,7 @@ import json
 
 from repro.harness import (
     MicrobenchConfig,
+    RunSpec,
     TxnBenchConfig,
     run_erpc,
     run_flock,
@@ -21,6 +22,7 @@ from repro.harness.scorecards import scorecard_fig2a
 
 SMALL = MicrobenchConfig(n_clients=3, threads_per_client=4, outstanding=2,
                          warmup_ns=150_000, measure_ns=150_000)
+AUDITED = RunSpec(audit=True)
 
 
 def serialized(result):
@@ -59,7 +61,7 @@ def test_audit_does_not_perturb_results():
     """Auditing is observation only: an audited run must produce the
     same numbers as an unaudited one."""
     plain = run_flock(SMALL)
-    audited = run_flock(SMALL, audit=True)
+    audited = run_flock(SMALL, spec=AUDITED)
     assert serialized(plain) == serialized(audited)
 
 

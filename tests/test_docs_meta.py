@@ -53,3 +53,26 @@ def test_package_exports_resolve():
         exported = getattr(module, "__all__", [])
         for name in exported:
             assert hasattr(module, name), (module.__name__, name)
+
+
+def test_run_options_table_matches_runspec():
+    """docs/performance.md's "Run options" table lists exactly the
+    RunSpec fields, with their flag, variable and comparability."""
+    import pathlib
+
+    from repro.harness.lifecycle import RunSpec
+
+    doc = (pathlib.Path(__file__).resolve().parents[1] / "docs"
+           / "performance.md").read_text()
+    section = doc.split("## Run options", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        field, flag, var, _default, comparable = cells
+        rows[field.strip("`")] = (None if flag == "—" else flag.strip("`"),
+                                  var.strip("`"), comparable == "yes")
+    want = {name: (flag, var, name in RunSpec.COMPARABLE)
+            for name, (flag, var) in RunSpec.OPTIONS.items()}
+    assert rows == want

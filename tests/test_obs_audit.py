@@ -5,6 +5,7 @@ import pytest
 from repro.harness import (
     IndexBenchConfig,
     MicrobenchConfig,
+    RunSpec,
     TxnBenchConfig,
     run_erpc,
     run_flock,
@@ -20,11 +21,12 @@ from repro.obs import (
     Violation,
     run_audit,
 )
-from repro.obs.audit import AUDIT_ENV, audit_enabled
 from repro.sim import Simulator
 
 SMALL = MicrobenchConfig(n_clients=3, threads_per_client=4, outstanding=4,
                          warmup_ns=150_000, measure_ns=150_000)
+AUDITED = RunSpec(audit=True)
+AUDIT_ENV = RunSpec.OPTIONS["audit"][1]
 
 
 class TestFramework:
@@ -82,12 +84,12 @@ class TestFramework:
     def test_audit_enabled_env_parsing(self, monkeypatch):
         for off in ("", "0", "false", "NO", "off"):
             monkeypatch.setenv(AUDIT_ENV, off)
-            assert not audit_enabled()
+            assert not RunSpec.from_env().audit
         for on in ("1", "true", "yes"):
             monkeypatch.setenv(AUDIT_ENV, on)
-            assert audit_enabled()
+            assert RunSpec.from_env().audit
         monkeypatch.delenv(AUDIT_ENV)
-        assert not audit_enabled()
+        assert not RunSpec.from_env().audit
 
     def test_empty_sim_audit_is_clean(self):
         report = run_audit(Simulator())
@@ -124,29 +126,29 @@ class TestCleanRuns:
         assert report.checks > 10
 
     def test_flock_audits_clean(self):
-        self._assert_clean(run_flock(SMALL, audit=True))
+        self._assert_clean(run_flock(SMALL, spec=AUDITED))
 
     def test_erpc_audits_clean(self):
-        self._assert_clean(run_erpc(SMALL, audit=True))
+        self._assert_clean(run_erpc(SMALL, spec=AUDITED))
 
     def test_raw_reads_audit_clean(self):
-        self._assert_clean(run_raw_reads(24, n_clients=3, audit=True))
+        self._assert_clean(run_raw_reads(24, n_clients=3, spec=AUDITED))
 
     def test_flocktx_audits_clean(self):
         cfg = TxnBenchConfig(n_clients=2, threads_per_client=2,
                              coroutines_per_thread=3,
                              subscribers_per_server=600,
                              warmup_ns=200_000, measure_ns=200_000)
-        self._assert_clean(run_flocktx(cfg, audit=True))
+        self._assert_clean(run_flocktx(cfg, spec=AUDITED))
 
     def test_index_audits_clean(self):
         cfg = IndexBenchConfig(n_clients=2, threads_per_client=3,
                                n_keys=20_000, warmup_ns=200_000,
                                measure_ns=200_000)
-        self._assert_clean(run_flock_index(cfg, audit=True)["get"])
+        self._assert_clean(run_flock_index(cfg, spec=AUDITED)["get"])
 
     def test_flock_audit_reports_littles_law_info(self):
-        result = run_flock(SMALL, audit=True)
+        result = run_flock(SMALL, spec=AUDITED)
         laws = {k: v for k, v in result.audit_report.info.items()
                 if k.startswith("queues.littles_law")}
         assert laws
@@ -168,7 +170,7 @@ class TestCleanRuns:
 
         tel = Telemetry()
         run_flock(SMALL, telemetry=tel)  # first run dirties the registry
-        result = run_flock(SMALL, telemetry=tel, audit=True)
+        result = run_flock(SMALL, telemetry=tel, spec=AUDITED)
         report = result.audit_report
         assert report.ok, report.format()
         # Counter cross-checks must be recorded skips, not bogus passes.

@@ -17,18 +17,15 @@ import re
 
 import pytest
 
-from repro.harness import MicrobenchConfig, run_flock
-from repro.obs.occupancy import OCCUPANCY_ENV, OccupancyTracker, occupancy_enabled
-from repro.obs.simprof import (
-    PROFILE_ENV,
-    SimProfile,
-    component_bucket,
-    profile_enabled,
-)
+from repro.harness import MicrobenchConfig, RunSpec, run_flock
+from repro.obs.occupancy import OccupancyTracker
+from repro.obs.simprof import SimProfile, component_bucket
 from repro.obs.windows import SloThresholds, SloTimeline
 from repro.sim.core import Simulator
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+PROFILE_ENV = RunSpec.OPTIONS["profile"][1]
+OCCUPANCY_ENV = RunSpec.OPTIONS["occupancy"][1]
 
 
 # -- workload helpers (defined here, so their bucket is ``app``) ---------
@@ -75,8 +72,8 @@ class TestComponentBucket:
 class TestEnvSwitches:
     def test_profile_default_off(self, monkeypatch):
         monkeypatch.delenv(PROFILE_ENV, raising=False)
-        assert not profile_enabled()
-        assert profile_enabled(default=True)
+        assert not RunSpec.from_env().profile
+        assert RunSpec.from_env(profile=True).profile
 
     @pytest.mark.parametrize("raw,want", [
         ("1", True), ("true", True), ("YES", True), ("on", True),
@@ -84,11 +81,14 @@ class TestEnvSwitches:
     ])
     def test_profile_env_values(self, monkeypatch, raw, want):
         monkeypatch.setenv(PROFILE_ENV, raw)
-        assert profile_enabled() is want
+        assert RunSpec.from_env().profile is want
 
     def test_occupancy_zero_disables_even_with_default_true(self, monkeypatch):
+        # Profiling brings occupancy along unless it is switched off.
+        monkeypatch.delenv(OCCUPANCY_ENV, raising=False)
+        assert RunSpec.from_env(profile=True).occupancy
         monkeypatch.setenv(OCCUPANCY_ENV, "0")
-        assert not occupancy_enabled(default=True)
+        assert not RunSpec.from_env(profile=True).occupancy
 
 
 class TestSimProfile:

@@ -12,20 +12,18 @@ import json
 
 import pytest
 
-from repro.harness import MicrobenchConfig, run_flock
+from repro.harness import MicrobenchConfig, RunSpec, run_flock, run_lifecycle
 from repro.obs.windows import (
     DEFAULT_WINDOWS,
-    MIN_MOPS_ENV,
-    P99_ENV,
-    WINDOWS_ENV,
     SloThresholds,
     SloTimeline,
     attach_switch_sources,
-    slo_timeline,
-    windows_per_run,
 )
 
 SMOKE = "0.05"
+WINDOWS_ENV = RunSpec.OPTIONS["slo_windows"][1]
+P99_ENV = RunSpec.OPTIONS["slo_p99_us"][1]
+MIN_MOPS_ENV = RunSpec.OPTIONS["slo_min_mops"][1]
 
 
 class TestWindowRouting:
@@ -140,11 +138,11 @@ class TestThresholds:
     def test_disarmed_by_default(self, monkeypatch):
         for var in (P99_ENV, MIN_MOPS_ENV):
             monkeypatch.delenv(var, raising=False)
-        assert not SloThresholds.from_env().armed
+        assert not RunSpec.from_env().slo_thresholds.armed
 
     def test_env_arms(self, monkeypatch):
         monkeypatch.setenv(P99_ENV, "50")
-        th = SloThresholds.from_env()
+        th = RunSpec.from_env().slo_thresholds
         assert th.armed
         assert th.p99_us == 50.0
 
@@ -179,16 +177,15 @@ class TestThresholds:
 class TestEnvConfig:
     def test_default_window_count(self, monkeypatch):
         monkeypatch.delenv(WINDOWS_ENV, raising=False)
-        assert windows_per_run() == DEFAULT_WINDOWS
+        assert RunSpec.from_env().slo_windows == DEFAULT_WINDOWS
+        assert SloTimeline(0.0, 1.0).n_windows == DEFAULT_WINDOWS
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(WINDOWS_ENV, "12")
-        assert windows_per_run() == 12
-        assert slo_timeline(0.0, 1_200.0).n_windows == 12
-
-    def test_bad_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv(WINDOWS_ENV, "lots")
-        assert windows_per_run() == DEFAULT_WINDOWS
+        spec = RunSpec.from_env()
+        assert spec.slo_windows == 12
+        with run_lifecycle("windows", 0.0, 1_200.0, spec) as life:
+            assert life.timeline().n_windows == 12
 
 
 class TestRunnerIntegration:

@@ -15,20 +15,16 @@ import os
 
 import pytest
 
-from repro.harness import MicrobenchConfig, run_flock, sweep_raw_reads
+from repro.harness import MicrobenchConfig, RunSpec, run_flock, sweep_raw_reads
 from repro.harness.cli import main
 from repro.harness.incastbench import IncastConfig, run_incast
-from repro.harness.parallel import (
-    JOBS_ENV,
-    SweepPoint,
-    default_jobs,
-    run_sweep,
-)
+from repro.harness.parallel import SweepPoint, run_sweep
 from repro.harness.scorecards import scorecard_fig2a
 from repro.obs import Telemetry, current_telemetry, disable, enable
 from repro.sim.rand import Streams
 
 SMOKE = "0.05"
+JOBS_ENV = RunSpec.OPTIONS["jobs"][1]
 
 
 # Module-level so SweepPoints pickle across the process boundary.
@@ -118,20 +114,16 @@ class TestRunSweep:
 class TestDefaultJobs:
     def test_explicit_flag_wins(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV, "8")
-        assert default_jobs(3) == 3
+        assert RunSpec.from_env(jobs=3).jobs == 3
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV, "6")
-        assert default_jobs(None) == 6
-
-    def test_bad_env_is_serial(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "many")
-        assert default_jobs(None) == 1
+        assert RunSpec.from_env().jobs == 6
 
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv(JOBS_ENV, raising=False)
-        assert default_jobs(None) == 1
-        assert default_jobs(0) == 1
+        assert RunSpec.from_env().jobs == 1
+        assert RunSpec(jobs=0).jobs == 1
 
 
 class TestChildStreams:
