@@ -3,7 +3,7 @@
 An uncongested 512-node fig12-style sweep — every client node hammering
 one server with QP/MTT-thrashing raw reads — run twice, once per
 transport model, under the simulation cost observatory.  The headline
-contract of the hybrid-fidelity refactor is the **fabric-owned event
+contract of the fluid model is the **fabric-owned event
 ratio**: the fluid model must dispatch ≥ 10× fewer events attributed to
 the fabric-side components (fabric/rnic/pcie/switch/flow, per the
 simprof census) than the stepped packet model, while delivering exactly

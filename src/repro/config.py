@@ -40,11 +40,10 @@ PFC_ENV = "REPRO_PFC"
 #: :meth:`FidelityConfig.resolved`.
 FIDELITY_ENV = "REPRO_FIDELITY"
 
-#: Valid transport-model fidelity modes, in increasing abstraction:
-#: ``packet`` steps every pipeline stage as events (the calibrated
-#: default), ``fluid`` advances whole transfers analytically, ``hybrid``
-#: runs fluid with automatic per-port demotion to packet at hotspots.
-FIDELITY_MODES = ("packet", "fluid", "hybrid")
+#: Valid transport-model fidelity modes: ``packet`` steps every
+#: pipeline stage as events (the calibrated default), ``fluid`` advances
+#: whole transfers analytically.
+FIDELITY_MODES = ("packet", "fluid")
 
 
 def _env_truthy(name: str) -> bool:
@@ -266,30 +265,10 @@ class FidelityConfig:
     propagation, rx_process — exactly as every committed baseline was
     calibrated.  ``fluid`` completes an uncontended transfer in O(1)
     events using analytic NIC/wire/propagation time with identical
-    byte/packet/message ledgers.  ``hybrid`` runs fluid by default and
-    demotes individual egress ports to the packet model while they are
-    *hot* (queue depth, fresh ECN marks / PFC pauses / tail drops, or a
-    saturated state-fetch pipeline at the destination NIC), promoting
-    them back after a hysteresis quiet period.
+    byte/packet/message ledgers.
     """
 
     mode: str = "packet"
-    #: Hybrid demotion: a port is hot when its egress backlog reaches
-    #: this fraction of the ECN Kmin threshold (marking — the first
-    #: nonlinearity — starts at Kmin, so 1.0 demotes exactly when the
-    #: fluid model would otherwise have to approximate marking).
-    demote_depth_frac: float = 1.0
-    #: Hybrid demotion: the destination NIC's state-fetch pipeline is
-    #: thrashing when PCIe outstanding reads (or the equivalent analytic
-    #: backlog) reach this fraction of the NIC's miss slots.  The
-    #: default is 2× the slot count so a one-off burst of compulsory
-    #: cold-cache misses does not read as thrash — sustained thrashing
-    #: keeps the fetch pipeline persistently oversubscribed and clears
-    #: the bar regardless.
-    thrash_outstanding_frac: float = 2.0
-    #: Hysteresis: a demoted port must stay quiet (no hot signal) this
-    #: long before it is promoted back to the fluid model.
-    promote_quiet_ns: float = 100_000.0
     #: When False, the ``REPRO_FIDELITY`` environment override is
     #: ignored — A/B runners that sweep fidelity inside one process set
     #: this so CLI flags cannot leak into their legs.
@@ -298,12 +277,6 @@ class FidelityConfig:
     def __post_init__(self):
         _require(self.mode in FIDELITY_MODES,
                  "mode must be one of %s" % (FIDELITY_MODES,))
-        _require(self.demote_depth_frac > 0,
-                 "demote_depth_frac must be > 0")
-        _require(self.thrash_outstanding_frac > 0,
-                 "thrash_outstanding_frac must be > 0")
-        _require(self.promote_quiet_ns >= 0,
-                 "promote_quiet_ns must be >= 0")
 
     def resolved(self) -> "FidelityConfig":
         """Apply the ``REPRO_FIDELITY`` environment override (unless

@@ -861,10 +861,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fidelity", choices=list(FIDELITY_MODES),
                         default=None,
                         help="transport-model fidelity: 'packet' (the "
-                             "calibrated stepped pipeline, default), "
-                             "'fluid' (analytic O(1)-event transfers), or "
-                             "'hybrid' (fluid with automatic packet-level "
-                             "demotion at hotspots) — see docs/network.md")
+                             "calibrated stepped pipeline, default) or "
+                             "'fluid' (analytic O(1)-event transfers) — see "
+                             "docs/network.md")
     parser.add_argument("--scorecard", metavar="DIR", default=None,
                         help="write BENCH_<figure>.json paper-fidelity "
                              "scorecards into DIR")

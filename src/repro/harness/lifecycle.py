@@ -41,7 +41,7 @@ from ..obs import AuditError, Registry, current_telemetry, faults, run_audit
 from ..obs.occupancy import OccupancyTracker
 from ..obs.simprof import SimProfile
 from ..obs.windows import (DEFAULT_WINDOWS, SloThresholds, SloTimeline,
-                           attach_fidelity_sources, attach_switch_sources)
+                           attach_switch_sources)
 from ..sim import Simulator
 
 __all__ = ["RunLifecycle", "RunSpec", "run_lifecycle"]
@@ -256,13 +256,12 @@ class RunLifecycle:
 
     def timeline(self, fabric=None) -> SloTimeline:
         """An SLO timeline over the measurement window, with the
-        fabric's switch and fidelity counters as per-window sources."""
+        fabric's switch counters as per-window sources."""
         timeline = SloTimeline(self.warmup, self.end,
                                n_windows=self.spec.slo_windows,
                                thresholds=self.spec.slo_thresholds)
         if fabric is not None:
             attach_switch_sources(timeline, fabric)
-            attach_fidelity_sources(timeline, fabric)
         return timeline
 
     def run(self, until: Optional[float] = None) -> None:

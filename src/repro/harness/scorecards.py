@@ -647,15 +647,6 @@ def scorecard_incast(results: Dict[str, object]) -> Scorecard:
         not results["flock_base"].extras.get("congested", True)
         and not results["ud_base"].extras.get("congested", True),
         "baseline legs ran on the contention-free fabric")
-    # Hybrid-fidelity runs export their demotion/promotion transitions
-    # so CI can assert that demotion stayed confined to the hot port.
-    fid = {leg: {k: results[leg].extras[k]
-                 for k in ("fidelity_demotions", "fidelity_promotions",
-                           "fidelity_demoted_ports")
-                 if k in results[leg].extras}
-           for leg in ("flock_base", "flock_cong", "ud_base", "ud_cong")}
-    if any(fid.values()):
-        sc.meta["fidelity_transitions"] = fid
     attach_slo(sc, results)
     attach_anomalies(sc, results)
     attach_attribution(sc, (results["flock_base"], results["flock_cong"],

@@ -41,13 +41,6 @@ class PcieLink:
         #: drain rate matches the stepped model's ``slots`` concurrent
         #: fetches of ``latency`` each.
         self._fluid_busy_until = 0.0
-        #: Queue delay observed by the most recent analytic read — real
-        #: contention (work booked ahead of it), which the fidelity
-        #: controller reads as its thrash signal.  ``_fluid_busy_until``
-        #: itself is useless for that: receive-side bookings are dated at
-        #: message *arrival*, so a cold link can look "busy until" a
-        #: future instant without any queueing at all.
-        self._fluid_queue_ns = 0.0
         self._obs = sim.instrumented
         #: Occupancy tracker (cost observatory); cached like ``_obs``.
         self._occ = sim.occupancy
@@ -127,7 +120,6 @@ class PcieLink:
         now = self.sim.now if at is None else at
         start = self._fluid_busy_until if self._fluid_busy_until > now else now
         queue_ns = start - now
-        self._fluid_queue_ns = queue_ns
         self._fluid_busy_until = start + (n * self.read_latency_ns
                                           / self._slots.capacity)
         self.busy_ns += n * self.read_latency_ns

@@ -312,10 +312,9 @@ class Switch:
         folds the queueing delay into its one analytic timeout.  Tail
         drop stays deterministic (depth past the buffer), ECN marking is
         expected-value accounting via ``mark_debt``, and PFC pause
-        assertion stays with the stepped path — the hybrid controller
-        demotes a port long before it pauses, and accepted bytes still
-        stretch the buffer exactly like stepped messages past their
-        pause check.
+        assertion stays with the stepped path, so a fluid run never
+        pauses a sender; accepted bytes still stretch the buffer exactly
+        like stepped messages past their pause check.
         """
         now = self.sim.now
         port = self.port_for(dst_name)

@@ -29,7 +29,6 @@ from ..hw import CpuMeter, HostMemory, Rnic
 from ..obs.span import Span
 from ..sim import Event, Simulator
 from .congestion import DcqcnState, Switch
-from .fidelity import FidelityController
 from .flow import FluidModel
 from .transport import PacketModel
 
@@ -82,17 +81,9 @@ class Fabric:
             if self.congestion.enabled else None)
         #: Resolved transport fidelity (env overrides applied here, once).
         self.fidelity = cfg.fidelity.resolved()
-        self._packet_model = PacketModel(self)
-        #: The static model every transfer uses, or None in hybrid mode
-        #: where the controller arbitrates per destination port.
-        self._model = self._packet_model
-        self.fidelity_controller: Optional[FidelityController] = None
-        if self.fidelity.mode == "fluid":
-            self._model = FluidModel(self)
-        elif self.fidelity.mode == "hybrid":
-            self._model = None
-            self.fidelity_controller = FidelityController(
-                self, self.fidelity, self._packet_model, FluidModel(self))
+        #: The model every transfer uses, fixed at construction.
+        self._model = (FluidModel(self) if self.fidelity.mode == "fluid"
+                       else PacketModel(self))
         #: DCQCN limiter per (src node, QP); only populated when the
         #: switch model and DCQCN are both on.
         self._dcqcn: Dict[Tuple[str, int], DcqcnState] = {}
@@ -167,10 +158,8 @@ class Fabric:
         ``switch_queue`` / ``propagation`` / ``nic_rx`` phases.
 
         The time evolution itself is delegated to the configured
-        :class:`~repro.net.transport.TransportModel` (packet, fluid, or
-        — in hybrid mode — whichever the fidelity controller picks for
-        ``dst``'s egress port); this wrapper owns only the
-        model-independent bookkeeping.
+        :class:`~repro.net.transport.TransportModel` (packet or fluid);
+        this wrapper owns only the model-independent bookkeeping.
         """
         occ = self._occ
         if occ is not None:
@@ -186,10 +175,7 @@ class Fabric:
                 self._m_wire_bytes.inc(wire_bytes)
                 self._m_header_bytes.inc(wire_bytes - nbytes)
                 self._m_packets.inc(n_packets)
-            model = self._model
-            if model is None:
-                model = self.fidelity_controller.model_for(dst)
-            result = yield from model.pipeline(
+            result = yield from self._model.pipeline(
                 src, dst, nbytes, wire_bytes, n_packets, src_qpn, dst_qpn,
                 rkeys, reliable, jitter_ns, span)
             return result
@@ -200,14 +186,6 @@ class Fabric:
     def transfer_async(self, *args, **kwargs):
         """Spawn :meth:`transfer` as a background process; returns it."""
         return self.sim.spawn(self.transfer(*args, **kwargs), name="xfer")
-
-    def fidelity_snapshot(self) -> dict:
-        """Transport-fidelity state for reporting: the resolved mode
-        plus, in hybrid mode, the controller's transition ledger."""
-        snap = {"mode": self.fidelity.mode}
-        if self.fidelity_controller is not None:
-            snap.update(self.fidelity_controller.snapshot())
-        return snap
 
     def congestion_snapshot(self) -> dict:
         """Switch + DCQCN state for reporting (empty when disabled)."""

@@ -20,14 +20,11 @@ Accuracy contract (see docs/network.md):
   instead of a uniform draw, and ECN marking is expected-value
   (``mark_debt``) instead of Bernoulli, so fluid runs are deterministic
   for a given arrival order;
-* packet loss still draws per packet, from a dedicated RNG stream so
-  enabling fluid mode cannot perturb the packet model's draw sequence
-  in hybrid runs.
+* packet loss still draws per packet, from a dedicated RNG stream.
 
-Nonlinear regimes (deep queues, PFC pauses, tail drops under incast)
-are where these expectations break down — which is exactly what the
-hybrid controller (:mod:`repro.net.fidelity`) detects to demote a port
-back to the packet model.
+Nonlinear regimes (deep queues, PFC pauses, tail drops under incast,
+QP-cache thrash) are where these expectations break down; results that
+depend on them need the packet model (docs/network.md §6).
 """
 
 from __future__ import annotations
@@ -48,13 +45,11 @@ __all__ = ["FluidModel"]
 class FluidModel(TransportModel):
     """Flow-level transfers: one dispatched event per uncontended hop."""
 
-    kind = "fluid"
-
     def __init__(self, fabric: "Fabric"):
         super().__init__(fabric)
-        #: Loss draws come from their own stream (not ``fabric.rng``) so
-        #: a hybrid run's fluid transfers don't shift the stepped
-        #: pipeline's jitter/loss sequence.
+        #: Loss draws come from their own seeded stream (not
+        #: ``fabric.rng``), which pins fluid runs with injected loss to
+        #: the draw sequence their committed results were taken with.
         self._loss_rng = random.Random(fabric.seed ^ 0xF10D)
 
     def pipeline(

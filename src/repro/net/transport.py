@@ -14,10 +14,7 @@ and delegates the actual time evolution of one message to a
   ledgers and counters, but an uncontended transfer completes in O(1)
   dispatched events.
 
-The hybrid mode (:mod:`repro.net.fidelity`) picks between the two per
-egress port, demoting hot ports to the packet model where behaviour is
-nonlinear (ECN, PFC, tail drop under incast) and keeping everything
-else fluid.
+The fabric picks one model at construction and every transfer uses it.
 """
 
 from __future__ import annotations
@@ -41,9 +38,6 @@ class TransportModel:
     False when dropped — exactly the contract of ``Fabric.transfer``,
     which handles everything model-independent before delegating here.
     """
-
-    #: Short tag used in scorecard metadata and fidelity snapshots.
-    kind = "abstract"
 
     def __init__(self, fabric: "Fabric"):
         self.fabric = fabric
@@ -70,8 +64,6 @@ class TransportModel:
 
 class PacketModel(TransportModel):
     """The stepped per-message pipeline (the calibrated default)."""
-
-    kind = "packet"
 
     def pipeline(
         self,

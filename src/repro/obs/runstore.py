@@ -19,7 +19,9 @@ bench/scorecard run as one JSON line in an append-only log
 
 Records are never rewritten: the store only appends, and run ids are
 the 1-based line numbers, so any id mentioned in a CI log or a commit
-message stays valid forever.
+message stays valid forever.  A final line without its newline is a
+write cut short by a crash: reads skip it, and the next append moves it
+into ``runs.jsonl.torn`` so the log stays one record per line.
 
 :meth:`RunStore.diff` replays the bench store's tolerance-aware
 comparison with run *A* as the baseline contract — the CLI front-end
@@ -216,12 +218,27 @@ class RunStore:
             fingerprint=config_fingerprint(scorecards),
             scorecards={sc.figure: sc.to_dict() for sc in scorecards},
             meta=dict(meta or {}))
+        self._quarantine_torn_tail()
         with open(self.path, "a") as fh:
             fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
         return rec
 
     def _next_id(self) -> int:
-        return len(self._lines()) + 1
+        return len(self.list()) + 1
+
+    def _quarantine_torn_tail(self) -> None:
+        """Move an unterminated final line into ``runs.jsonl.torn`` and
+        truncate it off the log, so the next append starts a new line."""
+        if not os.path.exists(self.path):
+            return
+        with open(self.path, "rb+") as fh:
+            data = fh.read()
+            keep = data.rfind(b"\n") + 1
+            if keep == len(data):
+                return
+            with open(self.path + ".torn", "ab") as torn:
+                torn.write(data[keep:] + b"\n")
+            fh.truncate(keep)
 
     # -- reading --------------------------------------------------------
 
@@ -229,7 +246,9 @@ class RunStore:
         if not os.path.exists(self.path):
             return []
         with open(self.path) as fh:
-            return [line for line in fh if line.strip()]
+            # Only the last line can lack its newline: a torn write.
+            return [line for line in fh
+                    if line.endswith("\n") and line.strip()]
 
     def list(self) -> List[RunRecord]:
         """Every recorded run, in record order."""

@@ -1,9 +1,10 @@
 """Simulation cost observatory: event census + host-time profiler.
 
-The ROADMAP's scaling items (hybrid-fidelity fabric above all) rest on a
-claim about the *simulator's own* cost structure: that packet-level
-fabric events dominate both event volume and host wall-clock.  This
-module measures that claim instead of assuming it.
+Decisions about where to spend simulation fidelity rest on a claim
+about the *simulator's own* cost structure: for example, that
+packet-level fabric events dominate both event volume and host
+wall-clock.  This module measures such claims instead of assuming
+them.
 
 Two instruments share one bucketing scheme:
 
@@ -70,7 +71,7 @@ def component_bucket(filename: str) -> str:
     if head == "net":
         if len(sub) > 1 and sub[1] == "congestion":
             return "switch"
-        if leaf.startswith("flow") or leaf.startswith("fidelity"):
+        if leaf.startswith("flow"):
             return "flow"
         return "fabric"
     if head == "hw":
@@ -214,7 +215,7 @@ class SimProfile:
 
     def dominant_component(self) -> Tuple[str, float]:
         """``(component, share)`` of the measurement-window census —
-        the datum the hybrid-fidelity decision reads.  Falls back to
+        the datum a fidelity decision reads.  Falls back to
         whole-run dispatch counts when the measurement window saw no
         events."""
         by_comp: Dict[str, int] = {}

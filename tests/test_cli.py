@@ -17,6 +17,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_hybrid_fidelity_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["--fidelity", "hybrid", "fig6"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'hybrid'" in capsys.readouterr().err
+
     def test_defaults(self):
         args = build_parser().parse_args(["fig6"])
         assert args.outstanding == 1

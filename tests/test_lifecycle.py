@@ -38,7 +38,16 @@ MALFORMED = [
     ("faults", "credits.no_such_fault"),
     ("jobs", "many"),
     ("fidelity", "quantum"),
+    ("fidelity", "hybrid"),
 ]
+
+
+def _malformed_id(case):
+    """The case's variable name; a repeated variable also names its value."""
+    name, raw = case
+    var = RunSpec.OPTIONS[name][1]
+    first = next(c for c in MALFORMED if c[0] == name)
+    return var if case == first else "%s=%s" % (var, raw)
 
 
 @pytest.fixture(autouse=True)
@@ -65,7 +74,7 @@ class TestRunSpec:
         assert "faults" in RunSpec.OBSERVATION_ONLY
 
     @pytest.mark.parametrize("name,raw", MALFORMED,
-                             ids=[RunSpec.OPTIONS[n][1] for n, _ in MALFORMED])
+                             ids=[_malformed_id(c) for c in MALFORMED])
     def test_malformed_value_raises(self, monkeypatch, name, raw):
         var = RunSpec.OPTIONS[name][1]
         monkeypatch.setenv(var, raw)

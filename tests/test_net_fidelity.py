@@ -1,10 +1,9 @@
-"""Hybrid-fidelity fabric: transport models, demotion controller, pins.
+"""Fabric transport fidelity: the packet and fluid models, and pins.
 
-Covers the three fidelity modes end to end: packet stays the default
-(and the kernel stays fidelity-blind — pinned structurally), fluid
-conserves exactly what packet conserves on loss-free traffic, dispatches
-O(1) events per transfer, and hybrid demotes hot egress ports to the
-stepped model and promotes them back after the quiet period.
+Covers both fidelity modes end to end: packet stays the default (and
+the kernel stays fidelity-blind — pinned structurally), fluid conserves
+exactly what packet conserves on loss-free traffic, dispatches O(1)
+events per transfer, and keeps the auditors clean under incast.
 """
 
 import inspect
@@ -20,7 +19,7 @@ from repro.config import (
     NetConfig,
     resolved_fidelity_mode,
 )
-from repro.net import FidelityController, FluidModel, PacketModel, build_cluster
+from repro.net import FluidModel, PacketModel, build_cluster
 from repro.obs.audit import run_audit
 from repro.obs.registry import Registry
 from repro.sim.core import Simulator
@@ -75,9 +74,9 @@ class TestModeResolution:
         assert resolved_fidelity_mode() == "fluid"
 
     def test_env_ignored_when_not_honored(self, monkeypatch):
-        monkeypatch.setenv(FIDELITY_ENV, "hybrid")
-        cfg = FidelityConfig(mode="fluid", honor_env=False)
-        assert cfg.resolved().mode == "fluid"
+        monkeypatch.setenv(FIDELITY_ENV, "fluid")
+        cfg = FidelityConfig(mode="packet", honor_env=False)
+        assert cfg.resolved().mode == "packet"
 
     def test_unknown_env_value_raises(self, monkeypatch):
         monkeypatch.setenv(FIDELITY_ENV, "quantum")
@@ -92,12 +91,8 @@ class TestModeResolution:
         monkeypatch.delenv(FIDELITY_ENV, raising=False)
         _, _, _, fab_p, _ = _cluster("packet")
         assert isinstance(fab_p._model, PacketModel)
-        assert fab_p.fidelity_controller is None
         _, _, _, fab_f, _ = _cluster("fluid")
         assert isinstance(fab_f._model, FluidModel)
-        _, _, _, fab_h, _ = _cluster("hybrid")
-        assert fab_h._model is None
-        assert isinstance(fab_h.fidelity_controller, FidelityController)
 
 
 class TestKernelStaysFidelityBlind:
@@ -194,48 +189,8 @@ def _hotspot_net():
         ecn_kmin_bytes=2_560, ecn_kmax_bytes=7_680))
 
 
-class TestHybridDemotion:
-    def test_incast_demotes_only_the_hot_port(self):
-        sim, servers, clients, fabric, reg = _cluster(
-            "hybrid", n_clients=16, net=_hotspot_net(), registry=True)
-        _drive(sim, clients, servers[0], fabric, [4096] * 8, per_client=2)
-        ctl = fabric.fidelity_controller
-        assert ctl.demotions > 0
-        snap = fabric.fidelity_snapshot()
-        assert snap["mode"] == "hybrid"
-        assert servers[0].name in snap["ports"]
-        # client egress ports stay fluid: the heat is all on server0.
-        assert snap["demoted_ports"] in ([], [servers[0].name])
-        for name in snap["ports"]:
-            assert name == servers[0].name
-        assert reg.counter("fidelity.demotions").value == ctl.demotions
-
-    def test_quiet_port_promotes_back(self):
-        sim, servers, clients, fabric, _ = _cluster(
-            "hybrid", n_clients=16, net=_hotspot_net())
-        server = servers[0]
-        _drive(sim, clients, server, fabric, [4096] * 8, per_client=2)
-        ctl = fabric.fidelity_controller
-        assert ctl.demotions > 0
-
-        def trickle():
-            # wait out the hysteresis window, then send one cold message
-            yield sim.timeout(ctl.cfg.promote_quiet_ns * 4)
-            yield from fabric.transfer(clients[0], server, 64, 1, 2)
-        sim.spawn(trickle())
-        sim.run()
-        assert ctl.promotions > 0
-        assert not ctl.ports[server.name].demoted
-
-    def test_cold_hybrid_never_demotes(self):
-        sim, servers, clients, fabric, _ = _cluster("hybrid", n_clients=2)
-        _drive(sim, clients, servers[0], fabric, [1024] * 4)
-        assert fabric.fidelity_controller.demotions == 0
-        assert fabric.fidelity_snapshot()["demoted_ports"] == []
-
-
 class TestAuditsStayClean:
-    @pytest.mark.parametrize("mode", ["fluid", "hybrid"])
+    @pytest.mark.parametrize("mode", ["fluid"])
     def test_auditors_pass(self, mode):
         sim, servers, clients, fabric, reg = _cluster(
             mode, n_clients=8, net=_hotspot_net(), registry=True)

@@ -86,6 +86,17 @@ class TestRecord:
         assert rec.metric("figX", "mops") == 33.0
         assert rec.passed
 
+    def test_torn_tail_is_skipped_then_quarantined(self, store):
+        store.record([make_scorecard()], label="whole")
+        torn = '{"id": 2, "lab'
+        with open(store.path, "a") as fh:
+            fh.write(torn)  # a writer killed mid-record: no newline
+        assert [r.label for r in store.list()] == ["whole"]
+        assert store.record([make_scorecard()], label="next").run_id == 2
+        assert [r.label for r in store.list()] == ["whole", "next"]
+        with open(store.path + ".torn") as fh:
+            assert fh.read() == torn + "\n"
+
 
 class TestGet:
     def test_reference_forms(self, store):
