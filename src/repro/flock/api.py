@@ -70,8 +70,7 @@ class FlockNode:
                     rpc_id: int, size: int, payload: Any = None
                     ) -> Generator[Event, None, Event]:
         """Send an RPC request; returns the event ``fl_recv_res`` waits on."""
-        return (yield from self.client.send_rpc(handle, thread_id, rpc_id,
-                                                size, payload))
+        return self.client.send_rpc(handle, thread_id, rpc_id, size, payload)
 
     def fl_recv_res(self, response_ev: Event) -> Generator[Event, None, RpcResponse]:
         """Wait for the response to a previously sent RPC."""
@@ -82,8 +81,7 @@ class FlockNode:
                 size: int, payload: Any = None
                 ) -> Generator[Event, None, RpcResponse]:
         """Convenience: ``fl_send_rpc`` + ``fl_recv_res``."""
-        return (yield from self.client.call(handle, thread_id, rpc_id, size,
-                                            payload))
+        return self.client.call(handle, thread_id, rpc_id, size, payload)
 
     # -- RPC receiver ---------------------------------------------------------------
 
@@ -124,27 +122,25 @@ class FlockNode:
                 remote_addr: int, rkey: int, size: int):
         """Read ``size`` bytes from remote memory (one-sided, no remote
         CPU); returns the verbs completion."""
-        return (yield from self.mem.read(handle, thread_id, remote_addr,
-                                         rkey, size))
+        return self.mem.read(handle, thread_id, remote_addr, rkey, size)
 
     def fl_write(self, handle: ConnectionHandle, thread_id: int,
                  remote_addr: int, rkey: int, size: int, payload: Any = None):
         """Write ``size`` bytes to remote memory (one-sided); returns the
         verbs completion."""
-        return (yield from self.mem.write(handle, thread_id, remote_addr,
-                                          rkey, size, payload))
+        return self.mem.write(handle, thread_id, remote_addr, rkey, size,
+                              payload)
 
     def fl_fetch_and_add(self, handle: ConnectionHandle, thread_id: int,
                          remote_addr: int, rkey: int, delta: int):
         """Atomic 8-byte fetch-and-add on remote memory; the completion
         payload carries the previous value."""
-        return (yield from self.mem.fetch_and_add(handle, thread_id,
-                                                  remote_addr, rkey, delta))
+        return self.mem.fetch_and_add(handle, thread_id, remote_addr, rkey,
+                                      delta)
 
     def fl_cmp_and_swap(self, handle: ConnectionHandle, thread_id: int,
                         remote_addr: int, rkey: int, compare: int, swap: int):
         """Atomic 8-byte compare-and-swap on remote memory; the swap took
         effect iff the completion payload equals ``compare``."""
-        return (yield from self.mem.cmp_and_swap(handle, thread_id,
-                                                 remote_addr, rkey, compare,
-                                                 swap))
+        return self.mem.cmp_and_swap(handle, thread_id, remote_addr, rkey,
+                                     compare, swap)

@@ -33,29 +33,29 @@ class MemoryOps:
     def read(self, handle: ConnectionHandle, thread_id: int, remote_addr: int,
              rkey: int, size: int) -> Generator[Event, None, Completion]:
         """``fl_read``: read ``size`` bytes from remote memory."""
-        return (yield from self._submit(handle, thread_id, MemOp(
+        return self._submit(handle, thread_id, MemOp(
             thread_id=thread_id, verb=Verb.READ, size=size,
             remote_addr=remote_addr, rkey=rkey,
-        )))
+        ))
 
     def write(self, handle: ConnectionHandle, thread_id: int, remote_addr: int,
               rkey: int, size: int, payload: Any = None
               ) -> Generator[Event, None, Completion]:
         """``fl_write``: write ``size`` bytes to remote memory."""
-        return (yield from self._submit(handle, thread_id, MemOp(
+        return self._submit(handle, thread_id, MemOp(
             thread_id=thread_id, verb=Verb.WRITE, size=size,
             remote_addr=remote_addr, rkey=rkey, payload=payload,
-        )))
+        ))
 
     def fetch_and_add(self, handle: ConnectionHandle, thread_id: int,
                       remote_addr: int, rkey: int, delta: int
                       ) -> Generator[Event, None, Completion]:
         """``fl_fetch_and_add``: atomic 8-byte fetch-and-add; the
         completion payload is the previous value."""
-        return (yield from self._submit(handle, thread_id, MemOp(
+        return self._submit(handle, thread_id, MemOp(
             thread_id=thread_id, verb=Verb.FETCH_ADD, size=8,
             remote_addr=remote_addr, rkey=rkey, swap_or_add=delta,
-        )))
+        ))
 
     def cmp_and_swap(self, handle: ConnectionHandle, thread_id: int,
                      remote_addr: int, rkey: int, compare: int, swap: int
@@ -63,11 +63,11 @@ class MemoryOps:
         """``fl_cmp_and_swap``: atomic 8-byte compare-and-swap; the
         completion payload is the previous value (swap succeeded iff it
         equals ``compare``)."""
-        return (yield from self._submit(handle, thread_id, MemOp(
+        return self._submit(handle, thread_id, MemOp(
             thread_id=thread_id, verb=Verb.CMP_SWAP, size=8,
             remote_addr=remote_addr, rkey=rkey, compare=compare,
             swap_or_add=swap,
-        )))
+        ))
 
     # -- internals ----------------------------------------------------------------
 
@@ -79,7 +79,10 @@ class MemoryOps:
         yield state.submit_lock.acquire()
         try:
             channel = handle.qp_for_thread(thread_id)
-            yield from client._drain_for_migration(state, channel)
+            drain = client._migration_drain(state, channel)
+            if drain is not None:
+                yield drain
+            state.assigned_qp = channel.index
             channel = handle.qp_for_thread(thread_id)
             state.stats.record(op.size)
             # Preparing the work request on the application thread (§6:

@@ -622,7 +622,10 @@ class FlockClient:
         yield state.submit_lock.acquire()
         try:
             channel = handle.qp_for_thread(thread_id)
-            yield from self._drain_for_migration(state, channel)
+            drain = self._migration_drain(state, channel)
+            if drain is not None:
+                yield drain
+            state.assigned_qp = channel.index
             channel = handle.qp_for_thread(thread_id)
             seq = state.allocate_seq()
             request = RpcRequest(thread_id=thread_id, seq_id=seq,
@@ -655,18 +658,20 @@ class FlockClient:
             state.submit_lock.release()
         return response_ev
 
-    def _drain_for_migration(self, state: ThreadState,
-                             channel) -> Generator[Event, None, None]:
-        """Before first use of a new QP, wait until every request sent on
-        the previous QP has completed (§5.2)."""
+    def _migration_drain(self, state: ThreadState,
+                         channel) -> Optional[Event]:
+        """Before first use of a new QP, the thread waits until every
+        request sent on the previous QP has completed (§5.2): the event
+        to wait on, or None when there is nothing to drain.  The caller
+        records ``channel`` as the thread's QP once it has waited."""
         old = state.assigned_qp
         if old is not None and old != channel.index and state.outstanding_per_qp.get(old):
             ev = state.drain_events.get(old)
             if ev is None or ev.triggered:
                 ev = Event(self.sim)
                 state.drain_events[old] = ev
-            yield ev
-        state.assigned_qp = channel.index
+            return ev
+        return None
 
     def _enqueue(self, handle: ConnectionHandle, channel, slot: PendingSend) -> None:
         if slot.sent_event is None:
@@ -768,19 +773,22 @@ class FlockClient:
                 continue
             for slot in batch:
                 slot.copied = True
-            yield from self._post_batch(handle, channel, batch, window_t0)
+            if len(batch) > 1:
+                # The header/doorbell window was charged before
+                # collection; what remains is polling each follower's
+                # copy-completion flag.
+                yield self.sim.timeout(20.0 * (len(batch) - 1))
+            self._post_batch(handle, channel, batch, window_t0)
             if not tcq.handoff():
                 return
 
     def _post_batch(self, handle: ConnectionHandle, channel,
                     batch: List[PendingSend],
-                    window_t0: Optional[float] = None) -> Generator[Event, None, None]:
+                    window_t0: Optional[float] = None) -> None:
+        """Ring one doorbell for ``batch``: the coalesced RPC message
+        plus any memory work requests."""
         rpc_slots = [s for s in batch if isinstance(s.request, RpcRequest)]
         mem_slots = [s for s in batch if isinstance(s.request, MemOp)]
-        # The header/doorbell window was charged before collection; what
-        # remains is polling each follower's copy-completion flag.
-        if len(batch) > 1:
-            yield self.sim.timeout(20.0 * (len(batch) - 1))
         if rpc_slots:
             consumed = channel.credits.try_consume(len(rpc_slots))
             assert consumed, "leader batched more RPCs than credits"

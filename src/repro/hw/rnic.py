@@ -10,8 +10,8 @@ identifies:
 * **PCIe** for state fetches and completion DMA.
 
 The verbs layer calls :meth:`tx_process` / :meth:`rx_process` around the
-fabric hop; everything is expressed as process generators so the costs
-compose in virtual time.
+fabric hop and drives both with ``yield from``, so the costs compose in
+virtual time.
 """
 
 from __future__ import annotations
@@ -112,6 +112,55 @@ class Rnic:
 
     # -- state-cache lookups ---------------------------------------------
 
+    def _touch_qp(self, qpn: int, span: Optional[Span]) -> bool:
+        """Access the QP context; book the hit/miss counters and span
+        bumps.  True on hit."""
+        if self.qp_cache.access(("qp", qpn)):
+            if self._obs:
+                self._m_qp_hits.inc()
+                if faults.ACTIVE and "rnic.double_count_hit" in faults.ACTIVE:
+                    self._m_qp_hits.inc()
+            if span is not None:
+                span.bump("qp_hits")
+            return True
+        if self._obs:
+            self._m_qp_misses.inc()
+        if span is not None:
+            span.bump("qp_misses")
+        return False
+
+    def _touch_mtt(self, rkey: int, span: Optional[Span]) -> bool:
+        """Access one memory-translation entry, like :meth:`_touch_qp`."""
+        if self.mtt_cache.access(("mr", rkey)):
+            if self._obs:
+                self._m_mtt_hits.inc()
+            return True
+        if self._obs:
+            self._m_mtt_misses.inc()
+        if span is not None:
+            span.bump("mtt_misses")
+        return False
+
+    def _resident(self, qpn: int, rkeys: Iterable[int]) -> bool:
+        """True if the lookup for ``qpn``/``rkeys`` would hit everywhere.
+        Only peeks; the LRU order is untouched."""
+        if ("qp", qpn) not in self.qp_cache:
+            return False
+        mtt = self.mtt_cache
+        for rkey in rkeys:
+            if ("mr", rkey) not in mtt:
+                return False
+        return True
+
+    def _touch_resident(self, qpn: int, rkeys: Iterable[int],
+                        span: Optional[Span]) -> None:
+        """The all-hit :meth:`_lookup`, run synchronously: nothing can
+        interleave between hits, so the caches evolve exactly as if the
+        generator had run."""
+        self._touch_qp(qpn, span)
+        for rkey in rkeys:
+            self._touch_mtt(rkey, span)
+
     def _lookup(
         self, qpn: int, rkeys: Iterable[int],
         span: Optional[Span] = None,
@@ -121,39 +170,20 @@ class Rnic:
         Misses stall on PCIe; concurrent misses contend for the bounded
         PCIe read slots, which is what converts thrashing into collapse.
         A carried ``span`` gets one ``pcie_stall`` sub-phase per miss and
-        hit/miss annotations.
+        hit/miss annotations.  Callers skip this generator when
+        :meth:`_resident` says no access can miss.
         """
-        if self.qp_cache.access(("qp", qpn)):
-            if self._obs:
-                self._m_qp_hits.inc()
-                if faults.ACTIVE and "rnic.double_count_hit" in faults.ACTIVE:
-                    self._m_qp_hits.inc()
+        if not self._touch_qp(qpn, span):
+            stall_t0 = self.sim.now
+            yield from self.pcie.read(span)
             if span is not None:
-                span.bump("qp_hits")
-        else:
-            if self._obs:
-                self._m_qp_misses.inc()
-            if span is not None:
-                span.bump("qp_misses")
+                span.add_phase("pcie_stall", stall_t0, self.sim.now)
+        for rkey in rkeys:
+            if not self._touch_mtt(rkey, span):
                 stall_t0 = self.sim.now
                 yield from self.pcie.read(span)
-                span.add_phase("pcie_stall", stall_t0, self.sim.now)
-            else:
-                yield from self.pcie.read()
-        for rkey in rkeys:
-            if self.mtt_cache.access(("mr", rkey)):
-                if self._obs:
-                    self._m_mtt_hits.inc()
-            else:
-                if self._obs:
-                    self._m_mtt_misses.inc()
                 if span is not None:
-                    span.bump("mtt_misses")
-                    stall_t0 = self.sim.now
-                    yield from self.pcie.read(span)
                     span.add_phase("pcie_stall", stall_t0, self.sim.now)
-                else:
-                    yield from self.pcie.read()
 
     # -- directional processing -------------------------------------------
 
@@ -168,7 +198,10 @@ class Rnic:
         t0 = self.sim.now
         if self.tx_gate is not None:
             yield from self.tx_gate(span)
-        yield from self._lookup(qpn, rkeys, span)
+        if self._resident(qpn, rkeys):
+            self._touch_resident(qpn, rkeys, span)
+        else:
+            yield from self._lookup(qpn, rkeys, span)
         delay = self._tx_bucket.delay_for()
         if delay > 0:
             if span is not None:
@@ -204,18 +237,35 @@ class Rnic:
     def rx_process(
         self, nbytes: int, qpn: int, rkeys: Iterable[int] = (),
         span: Optional[Span] = None,
-    ) -> Generator[Event, None, None]:
-        """NIC-side work to land one inbound message."""
-        t0 = self.sim.now
+    ) -> Iterable[Event]:
+        """NIC-side work to land one inbound message; ``yield from`` it.
+
+        An unthrottled message whose state is all resident lands right
+        away and the result is empty; only a throttle or a cache miss
+        gets a generator, which waits them out."""
         delay = self._rx_bucket.delay_for()
+        if delay > 0 or not self._resident(qpn, rkeys):
+            return self._rx_stalled(delay, qpn, rkeys, span)
+        self._touch_resident(qpn, rkeys, span)
+        self.commit_rx()
+        if span is not None:
+            span.add_phase("nic_rx", self.sim.now, self.sim.now)
+        return ()
+
+    def _rx_stalled(
+        self, delay: float, qpn: int, rkeys: Iterable[int],
+        span: Optional[Span],
+    ) -> Generator[Event, None, None]:
+        t0 = self.sim.now
         if delay > 0:
             if span is not None:
-                span.wait("nic_throttle", self.sim.now, self.sim.now + delay)
+                span.wait("nic_throttle", t0, t0 + delay)
             yield self.sim.timeout(delay)
-        yield from self._lookup(qpn, rkeys, span)
-        self.messages_rx += 1
-        if self._obs:
-            self._m_rx.inc()
+        if self._resident(qpn, rkeys):
+            self._touch_resident(qpn, rkeys, span)
+        else:
+            yield from self._lookup(qpn, rkeys, span)
+        self.commit_rx()
         if span is not None:
             span.add_phase("nic_rx", t0, self.sim.now)
 
@@ -238,30 +288,10 @@ class Rnic:
         misses (QP then MTT) are serial fetches, batched into a single
         backlog booking so they pay ``n * latency`` plus one queueing
         delay behind other messages' reads."""
-        misses = 0
-        if self.qp_cache.access(("qp", qpn)):
-            if self._obs:
-                self._m_qp_hits.inc()
-                if faults.ACTIVE and "rnic.double_count_hit" in faults.ACTIVE:
-                    self._m_qp_hits.inc()
-            if span is not None:
-                span.bump("qp_hits")
-        else:
-            misses += 1
-            if self._obs:
-                self._m_qp_misses.inc()
-            if span is not None:
-                span.bump("qp_misses")
+        misses = 0 if self._touch_qp(qpn, span) else 1
         for rkey in rkeys:
-            if self.mtt_cache.access(("mr", rkey)):
-                if self._obs:
-                    self._m_mtt_hits.inc()
-            else:
+            if not self._touch_mtt(rkey, span):
                 misses += 1
-                if self._obs:
-                    self._m_mtt_misses.inc()
-                if span is not None:
-                    span.bump("mtt_misses")
         if misses == 0:
             return 0.0
         return self.pcie.read_time_ns(span, at=at, n=misses)

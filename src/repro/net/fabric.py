@@ -158,30 +158,38 @@ class Fabric:
         ``switch_queue`` / ``propagation`` / ``nic_rx`` phases.
 
         The time evolution itself is delegated to the configured
-        :class:`~repro.net.transport.TransportModel` (packet or fluid);
-        this wrapper owns only the model-independent bookkeeping.
+        :class:`~repro.net.transport.TransportModel` (packet or fluid):
+        this plain method books the model-independent counters and
+        returns the model's generator for the caller to ``yield from``,
+        so a transfer adds no frame of its own to the resume chain.
         """
+        n_packets = src.rnic.packets_for(nbytes)
+        wire_bytes = src.rnic.wire_bytes(nbytes)
+        if self._obs:
+            self._m_messages.inc()
+            self._m_payload_bytes.inc(nbytes)
+            self._m_wire_bytes.inc(wire_bytes)
+            self._m_header_bytes.inc(wire_bytes - nbytes)
+            self._m_packets.inc(n_packets)
+        pipeline = self._model.pipeline(
+            src, dst, nbytes, wire_bytes, n_packets, src_qpn, dst_qpn,
+            rkeys, reliable, jitter_ns, span)
+        if self._occ is not None:
+            return self._inflight(pipeline)
+        return pipeline
+
+    def _inflight(self, pipeline: Generator[Event, None, bool]
+                  ) -> Generator[Event, None, bool]:
+        """Run ``pipeline`` inside the occupancy tracker's in-flight
+        count (cost observatory only)."""
         occ = self._occ
-        if occ is not None:
-            # try/finally (not per-exit decrements) so abandoned or
-            # interrupted transfers release their in-flight slot too.
-            occ.add("fabric.inflight", self.sim.now, 1.0)
+        # try/finally (not per-exit decrements) so abandoned or
+        # interrupted transfers release their in-flight slot too.
+        occ.add("fabric.inflight", self.sim.now, 1.0)
         try:
-            n_packets = src.rnic.packets_for(nbytes)
-            wire_bytes = src.rnic.wire_bytes(nbytes)
-            if self._obs:
-                self._m_messages.inc()
-                self._m_payload_bytes.inc(nbytes)
-                self._m_wire_bytes.inc(wire_bytes)
-                self._m_header_bytes.inc(wire_bytes - nbytes)
-                self._m_packets.inc(n_packets)
-            result = yield from self._model.pipeline(
-                src, dst, nbytes, wire_bytes, n_packets, src_qpn, dst_qpn,
-                rkeys, reliable, jitter_ns, span)
-            return result
+            return (yield from pipeline)
         finally:
-            if occ is not None:
-                occ.add("fabric.inflight", self.sim.now, -1.0)
+            occ.add("fabric.inflight", self.sim.now, -1.0)
 
     def transfer_async(self, *args, **kwargs):
         """Spawn :meth:`transfer` as a background process; returns it."""

@@ -19,7 +19,9 @@ bench/scorecard run as one JSON line in an append-only log
 
 Records are never rewritten: the store only appends, and run ids are
 the 1-based line numbers, so any id mentioned in a CI log or a commit
-message stays valid forever.  A final line without its newline is a
+message stays valid forever.  Writers serialise on an exclusive lock
+of the sidecar ``runs.jsonl.lock``, so concurrent recorders get
+distinct, consecutive ids.  A final line without its newline is a
 write cut short by a crash: reads skip it, and the next append moves it
 into ``runs.jsonl.torn`` so the log stays one record per line.
 
@@ -38,13 +40,19 @@ at a scratch directory, tests at tmp paths).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import subprocess
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
+
+try:
+    import fcntl
+except ImportError:  # non-POSIX host: a single writer at a time
+    fcntl = None
 
 from .benchstore import CompareReport, compare_scorecards
 from .scorecard import Scorecard
@@ -211,20 +219,29 @@ class RunStore:
             with open(ignore, "w") as fh:
                 fh.write("*\n")
         rec = RunRecord(
-            run_id=self._next_id(),
+            run_id=0,
             timestamp=time.time() if timestamp is None else timestamp,
             label=label,
             git=git_context(),
             fingerprint=config_fingerprint(scorecards),
             scorecards={sc.figure: sc.to_dict() for sc in scorecards},
             meta=dict(meta or {}))
-        self._quarantine_torn_tail()
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+        # Id assignment and the append are one critical section, so
+        # concurrent writers never hand out the same line number.
+        with self._locked():
+            self._quarantine_torn_tail()
+            rec.run_id = len(self._lines()) + 1
+            with open(self.path, "a") as fh:
+                fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
         return rec
 
-    def _next_id(self) -> int:
-        return len(self.list()) + 1
+    @contextlib.contextmanager
+    def _locked(self) -> Iterator[None]:
+        """Hold an exclusive lock on the sidecar ``runs.jsonl.lock``."""
+        with open(self.path + ".lock", "a") as fh:
+            if fcntl is not None:
+                fcntl.flock(fh, fcntl.LOCK_EX)
+            yield  # closing the file releases the lock
 
     def _quarantine_torn_tail(self) -> None:
         """Move an unterminated final line into ``runs.jsonl.torn`` and

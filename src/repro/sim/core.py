@@ -253,16 +253,24 @@ class Process(Event):
             else:
                 target = self._throw(event._exc)
         except StopIteration as stop:
+            # A finished process drops its self-reference (``_cb`` is a
+            # method bound to it) so reference counting frees it; ``gen``
+            # stays for the event census (``SimProfile.classify``).
+            self._cb = self._waiting_on = None
             self.succeed(stop.value)
             return
-        except Interrupt:
+        except Interrupt as exc:
             # Interrupt escaped the generator: unhandled interruption is a
-            # cancellation, not a crash.
+            # cancellation, not a crash.  Its traceback (which holds this
+            # frame, hence ``self``) is of no use; drop it with the rest.
+            exc.__traceback__ = None
+            self._cb = self._waiting_on = None
             self.succeed(None)
             return
         except BaseException as exc:
             if self.sim.strict:
                 raise
+            self._cb = self._waiting_on = None
             self.fail(exc)
             return
         # Fast-path dispatch: every legitimate yield target is an Event;

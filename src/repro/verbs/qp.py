@@ -159,6 +159,18 @@ class QueuePair:
             target = remote
             if target is None:
                 raise VerbError("UD send requires a remote QP")
+        done = self.sim.event()
+        verb = wr.verb
+        if verb is Verb.SEND:
+            body = self._do_send(wr, target, done)
+        elif verb is Verb.WRITE or verb is Verb.WRITE_IMM:
+            body = self._do_write(wr, target, done)
+        elif verb is Verb.READ:
+            body = self._do_read(wr, target, done)
+        elif verb is Verb.FETCH_ADD or verb is Verb.CMP_SWAP:
+            body = self._do_atomic(wr, target, done)
+        else:
+            raise VerbError("cannot post %s" % verb)
         self.sends_posted += 1
         if self._obs:
             self._m_wrs.inc()
@@ -170,13 +182,18 @@ class QueuePair:
             wr.span = self.sim.spans.begin(
                 "wr.%s" % wr.verb.value, track="hw:%s" % self.node.name,
                 t=self.sim.now, bytes=wr.length, qpn=self.qpn)
-        done = self.sim.event()
-        self.sim.spawn(self._execute(wr, target, done), name="verb")
+        if self.transport.reliable and self.fabric.dcqcn_active:
+            body = self._paced(wr, body)
+        # The verb body is the process itself: no dispatching frame sits
+        # above it on every resume.
+        self.sim.spawn(body, name="verb")
         return done
 
     # -- verb execution -------------------------------------------------------
 
-    def _push_send_cqe(self, wr: WorkRequest, wc: Completion) -> None:
+    def _complete(self, wr: WorkRequest, wc: Completion, done: Event) -> None:
+        """Complete ``wr`` at the initiator: its CQE (iff signaled), the
+        ``done`` event, and its span."""
         if wr.signaled:
             if wc.span is None:
                 # Let the CQ blame reap delay on the traced work
@@ -188,20 +205,26 @@ class QueuePair:
             rnic.cqes_generated += 1
             if rnic._obs:
                 rnic._m_cqes.inc()
+        done.succeed(wc)
+        self.sends_completed += 1
+        if wr.span is not None:
+            # Covers auto-created WR spans and FLock message spans alike:
+            # the span ends when the verb completes at the initiator.
+            wr.span.finish(self.sim.now)
 
-    def _congestion_gate(self, wr: WorkRequest) -> Generator[Event, None, None]:
-        """DCQCN pacing for RC flows under the switched-fabric model.
+    def _paced(self, wr: WorkRequest, body: Generator[Event, None, None]
+               ) -> Generator[Event, None, None]:
+        """DCQCN pacing for RC flows under the switched-fabric model,
+        then the verb ``body``.
 
         After the flow's rate was cut by a CNP, outgoing work requests
         are spaced to the current rate before the NIC pipeline sees
         them; the stall is recorded as an ``ecn_throttle`` wait edge.
         A flow at line rate pays nothing here (the TX port already
-        serializes at link speed).
+        serializes at link speed).  Only used for reliable flows with
+        DCQCN active.
         """
-        fabric = self.fabric
-        if not (self.transport.reliable and fabric.dcqcn_active):
-            return
-        state = fabric.dcqcn_for(self.node.name, self.qpn)
+        state = self.fabric.dcqcn_for(self.node.name, self.qpn)
         delay = state.send_delay(
             self.node.rnic.wire_bytes(wr.length), self.sim.now)
         if delay > 0:
@@ -211,27 +234,7 @@ class QueuePair:
                 wr.span.wait(
                     "ecn_throttle", self.sim.now, self.sim.now + delay)
             yield self.sim.timeout(delay)
-
-    def _execute(
-        self, wr: WorkRequest, target: "QueuePair", done: Event
-    ) -> Generator[Event, None, None]:
-        yield from self._congestion_gate(wr)
-        verb = wr.verb
-        if verb is Verb.SEND:
-            yield from self._do_send(wr, target, done)
-        elif verb in (Verb.WRITE, Verb.WRITE_IMM):
-            yield from self._do_write(wr, target, done)
-        elif verb is Verb.READ:
-            yield from self._do_read(wr, target, done)
-        elif verb in (Verb.FETCH_ADD, Verb.CMP_SWAP):
-            yield from self._do_atomic(wr, target, done)
-        else:
-            raise VerbError("cannot post %s" % verb)
-        self.sends_completed += 1
-        if wr.span is not None:
-            # Covers auto-created WR spans and FLock message spans alike:
-            # the span ends when the verb completes at the initiator.
-            wr.span.finish(self.sim.now)
+        yield from body
 
     def _do_send(
         self, wr: WorkRequest, target: "QueuePair", done: Event
@@ -264,8 +267,7 @@ class QueuePair:
                         qpn=self.qpn)
         if self.transport.reliable:
             yield self.sim.timeout(self.fabric.cfg.propagation_ns)
-        self._push_send_cqe(wr, wc)
-        done.succeed(wc)
+        self._complete(wr, wc, done)
 
     def _locate(self, target: "QueuePair", wr: WorkRequest, op: str) -> MemoryRegion:
         region = target.node.memory.lookup(wr.rkey)
@@ -280,8 +282,7 @@ class QueuePair:
         except AccessError as exc:
             wc = Completion(wr_id=wr.wr_id, verb=wr.verb,
                             status=WcStatus.REM_ACCESS_ERR, payload=exc)
-            self._push_send_cqe(wr, wc)
-            done.succeed(wc)
+            self._complete(wr, wc, done)
             return
         delivered = yield from self.fabric.transfer(
             self.node, target.node, wr.length, self.qpn, target.qpn,
@@ -307,8 +308,7 @@ class QueuePair:
                         qpn=self.qpn)
         if self.transport.reliable:
             yield self.sim.timeout(self.fabric.cfg.propagation_ns)
-        self._push_send_cqe(wr, wc)
-        done.succeed(wc)
+        self._complete(wr, wc, done)
 
     def _do_read(
         self, wr: WorkRequest, target: "QueuePair", done: Event
@@ -318,8 +318,7 @@ class QueuePair:
         except AccessError as exc:
             wc = Completion(wr_id=wr.wr_id, verb=wr.verb,
                             status=WcStatus.REM_ACCESS_ERR, payload=exc)
-            self._push_send_cqe(wr, wc)
-            done.succeed(wc)
+            self._complete(wr, wc, done)
             return
         # Request: header-only frame to the responder.
         yield from self.fabric.transfer(
@@ -335,8 +334,7 @@ class QueuePair:
         value = region.words.get(wr.remote_addr) if wr.length <= 8 else None
         wc = Completion(wr_id=wr.wr_id, verb=Verb.READ, byte_len=wr.length,
                         payload=value, qpn=self.qpn)
-        self._push_send_cqe(wr, wc)
-        done.succeed(wc)
+        self._complete(wr, wc, done)
 
     def _do_atomic(
         self, wr: WorkRequest, target: "QueuePair", done: Event
@@ -346,8 +344,7 @@ class QueuePair:
         except AccessError as exc:
             wc = Completion(wr_id=wr.wr_id, verb=wr.verb,
                             status=WcStatus.REM_ACCESS_ERR, payload=exc)
-            self._push_send_cqe(wr, wc)
-            done.succeed(wc)
+            self._complete(wr, wc, done)
             return
         yield from self.fabric.transfer(
             self.node, target.node, _REQUEST_HEADER_BYTES, self.qpn, target.qpn,
@@ -370,5 +367,4 @@ class QueuePair:
         )
         wc = Completion(wr_id=wr.wr_id, verb=wr.verb, byte_len=8,
                         payload=old, qpn=self.qpn)
-        self._push_send_cqe(wr, wc)
-        done.succeed(wc)
+        self._complete(wr, wc, done)

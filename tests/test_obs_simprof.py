@@ -17,11 +17,15 @@ import re
 
 import pytest
 
+from repro.config import ClusterConfig
 from repro.harness import MicrobenchConfig, RunSpec, run_flock
+from repro.net import build_cluster
 from repro.obs.occupancy import OccupancyTracker
 from repro.obs.simprof import SimProfile, component_bucket
 from repro.obs.windows import SloThresholds, SloTimeline
-from repro.sim.core import Simulator
+from repro.sim.core import Process, Simulator
+
+from conftest import spawn_flock_echo
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 PROFILE_ENV = RunSpec.OPTIONS["profile"][1]
@@ -222,6 +226,59 @@ class TestRunProfiledIdentity:
         sim.run(until=5.0)
         with pytest.raises(Exception):
             sim.run_profiled(SimProfile(0.0, 1.0), until=1.0)
+
+
+class _FinishProbe(SimProfile):
+    """Records, for every resume that finishes a process, the bucket it
+    was charged to next to its generator's own module bucket."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.finishes = []
+
+    def classify(self, event, callbacks):
+        key = super().classify(event, callbacks)
+        owner = getattr(callbacks[0], "__self__", None) if callbacks else None
+        if isinstance(owner, Process) and owner.gen.gi_frame is None:
+            self.finishes.append(
+                (key, component_bucket(owner.gen.gi_code.co_filename)))
+        return key
+
+
+class TestFinishAttribution:
+    """A finished process drops its self-reference but keeps ``gen``:
+    the census still charges its final resume to the generator's module,
+    and a profiled FLock point dispatches exactly the unprofiled events."""
+
+    UNTIL = 100_000.0
+
+    def _point(self, profile=None):
+        sim = Simulator()
+        servers, clients, fabric = build_cluster(
+            sim, ClusterConfig(n_clients=1))
+        spawn_flock_echo(sim, servers, clients, fabric)
+        if profile is None:
+            sim.run(until=self.UNTIL)
+        else:
+            sim.run_profiled(profile, until=self.UNTIL)
+        return sim
+
+    def test_final_resume_charged_to_generator_module(self):
+        prof = _FinishProbe(0.0, self.UNTIL)
+        self._point(prof)
+        assert prof.finishes
+        for key, bucket in prof.finishes:
+            assert key == bucket + ";process"
+        buckets = {bucket for _key, bucket in prof.finishes}
+        assert {"flock", "verbs"} <= buckets
+        assert "kernel;callback" not in prof.dispatched
+
+    def test_dispatched_counts_match_unprofiled_run(self):
+        prof = SimProfile(0.0, self.UNTIL)
+        profiled = self._point(prof)
+        plain = self._point()
+        assert sum(prof.dispatched.values()) == plain.events_processed
+        assert profiled.events_processed == plain.events_processed
 
 
 class TestOccupancyTracker:

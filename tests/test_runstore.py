@@ -9,6 +9,7 @@ regression or a bad reference, without a traceback.
 """
 
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -96,6 +97,28 @@ class TestRecord:
         assert [r.label for r in store.list()] == ["whole", "next"]
         with open(store.path + ".torn") as fh:
             assert fh.read() == torn + "\n"
+
+
+def _record_many(root, n):
+    store = RunStore(root)
+    for _ in range(n):
+        store.record([make_scorecard()])
+
+
+class TestConcurrentWriters:
+    def test_ids_are_exactly_one_to_n(self, tmp_path):
+        root = str(tmp_path / "rs")
+        ctx = multiprocessing.get_context("spawn")
+        writers = [ctx.Process(target=_record_many, args=(root, 20))
+                   for _ in range(4)]
+        for proc in writers:
+            proc.start()
+        for proc in writers:
+            proc.join(timeout=120)
+            assert proc.exitcode == 0
+        ids = [rec.run_id for rec in RunStore(root).list()]
+        assert sorted(ids) == list(range(1, 81))
+        assert ids == sorted(ids)
 
 
 class TestGet:

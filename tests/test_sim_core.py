@@ -1,5 +1,8 @@
 """DES kernel: events, timeouts, processes, conditions, determinism."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +11,7 @@ from repro.sim import (
     AnyOf,
     Event,
     Interrupt,
+    Process,
     SimulationError,
     Simulator,
 )
@@ -394,3 +398,49 @@ class TestFastPathRegressions:
         sim.spawn(other())
         sim.run()
         assert order == ["peer", "rounded"]
+
+
+class _WeakProcess(Process):
+    """A :class:`Process` that can be weakly referenced (the kernel's
+    own slots leave ``__weakref__`` out to keep processes small)."""
+
+    __slots__ = ("__weakref__",)
+
+
+class TestProcessLifetime:
+    """A finished process holds no reference to itself, so reference
+    counting frees it the moment its last holder lets go — the cyclic
+    collector never has to find it."""
+
+    def _freed_without_gc(self, sim, body, helper=None):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            proc = _WeakProcess(sim, body())
+            if helper is not None:
+                sim.spawn(helper(proc))
+            ref = weakref.ref(proc)
+            sim.run()
+            assert proc.processed
+            del proc
+            return ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_returned_process_is_freed_without_gc(self, sim):
+        def body():
+            yield sim.timeout(1.0)
+            return 7
+
+        assert self._freed_without_gc(sim, body)
+
+    def test_interrupted_process_is_freed_without_gc(self, sim):
+        def body():
+            yield sim.timeout(10.0)
+
+        def killer(victim):
+            yield sim.timeout(1.0)
+            victim.interrupt("stop")
+
+        assert self._freed_without_gc(sim, body, killer)
