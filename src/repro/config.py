@@ -35,28 +35,49 @@ GBPS = 1.0 / 8.0  # bytes per ns per Gbps
 CONGESTION_ENV = "REPRO_CONGESTION"
 PFC_ENV = "REPRO_PFC"
 
-#: Environment variable selecting the fabric transport-model fidelity
-#: (the CLI's ``--fidelity`` flag sets it); resolved by
-#: :meth:`FidelityConfig.resolved`.
+#: Environment variable naming the fabric transport model; resolved by
+#: :meth:`FidelityConfig.resolved`.  The stepped packet pipeline is the
+#: only model, so any other value fails the run instead of being ignored.
 FIDELITY_ENV = "REPRO_FIDELITY"
 
-#: Valid transport-model fidelity modes: ``packet`` steps every
-#: pipeline stage as events (the calibrated default), ``fluid`` advances
-#: whole transfers analytically.
-FIDELITY_MODES = ("packet", "fluid")
+#: Valid transport models: ``packet`` steps every pipeline stage as
+#: events.
+FIDELITY_MODES = ("packet",)
+
+#: Words a boolean run setting accepts (case-insensitive).
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("0", "false", "no", "off")
 
 
-def _env_truthy(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in (
-        "", "0", "false", "no", "off")
+def parse_bool(text: str) -> bool:
+    """Read a boolean setting: ``1/true/yes/on`` or ``0/false/no/off``
+    (case-insensitive); any other text raises :class:`ValueError`."""
+    low = text.strip().lower()
+    if low in _TRUE:
+        return True
+    if low in _FALSE:
+        return False
+    raise ValueError(text)
+
+
+def _env_flag(name: str) -> bool:
+    """A boolean environment switch: unset or empty is off, a malformed
+    value raises :class:`ValueError` naming the variable."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return False
+    try:
+        return parse_bool(raw)
+    except ValueError:
+        raise ValueError("%s=%r is not one of %s" % (
+            name, raw, _TRUE + _FALSE)) from None
 
 
 def resolved_fidelity_mode(default: str = "packet") -> str:
-    """The fidelity mode a default-config run would resolve to.
+    """The transport model a default-config run would resolve to.
 
-    Used by scorecard/bench stamping so run artifacts record which
-    transport model produced them even when the experiment never touched
-    the config objects directly (the ``REPRO_FIDELITY`` path).
+    Used by bench stamping so run artifacts record which transport
+    model produced them (the ``REPRO_FIDELITY`` path).
     """
     raw = os.environ.get(FIDELITY_ENV, "").strip().lower()
     return raw if raw in FIDELITY_MODES else default
@@ -247,8 +268,8 @@ class CongestionConfig:
         ``REPRO_PFC=1`` additionally selects lossless PAUSE mode."""
         if not self.honor_env:
             return self
-        enabled = self.enabled or _env_truthy(CONGESTION_ENV)
-        pfc = self.pfc or _env_truthy(PFC_ENV)
+        enabled = self.enabled or _env_flag(CONGESTION_ENV)
+        pfc = self.pfc or _env_flag(PFC_ENV)
         if pfc:
             enabled = True
         if enabled == self.enabled and pfc == self.pfc:
@@ -258,20 +279,18 @@ class CongestionConfig:
 
 @dataclass
 class FidelityConfig:
-    """Transport-model fidelity for the fabric message path.
+    """Transport model for the fabric message path.
 
-    ``packet`` (the default) steps every transfer through the full
-    event pipeline — tx_process, loss gauntlet, switch traversal,
-    propagation, rx_process — exactly as every committed baseline was
-    calibrated.  ``fluid`` completes an uncontended transfer in O(1)
-    events using analytic NIC/wire/propagation time with identical
-    byte/packet/message ledgers.
+    ``packet`` steps every transfer through the full event pipeline —
+    tx_process, loss gauntlet, switch traversal, propagation,
+    rx_process — and is the only model.  The config survives so run
+    records keep stamping which model produced them, and so a stale
+    mode name fails at construction instead of running silently.
     """
 
     mode: str = "packet"
     #: When False, the ``REPRO_FIDELITY`` environment override is
-    #: ignored — A/B runners that sweep fidelity inside one process set
-    #: this so CLI flags cannot leak into their legs.
+    #: ignored, so a pinned config cannot be changed by the environment.
     honor_env: bool = True
 
     def __post_init__(self):
@@ -279,18 +298,17 @@ class FidelityConfig:
                  "mode must be one of %s" % (FIDELITY_MODES,))
 
     def resolved(self) -> "FidelityConfig":
-        """Apply the ``REPRO_FIDELITY`` environment override (unless
-        ``honor_env`` is False).  Unknown values raise rather than
-        silently running the wrong model."""
+        """Check the ``REPRO_FIDELITY`` environment override (unless
+        ``honor_env`` is False).  With one valid mode there is nothing
+        to switch to, so any other value raises rather than being
+        ignored."""
         if not self.honor_env:
             return self
         raw = os.environ.get(FIDELITY_ENV, "").strip().lower()
-        if not raw or raw == self.mode:
-            return self
-        _require(raw in FIDELITY_MODES,
+        _require(not raw or raw in FIDELITY_MODES,
                  "%s=%r is not one of %s" % (FIDELITY_ENV, raw,
                                              FIDELITY_MODES))
-        return replace(self, mode=raw)
+        return self
 
 
 @dataclass
@@ -307,7 +325,8 @@ class NetConfig:
     ud_jitter_ns: float = 120.0
     #: Switched-fabric congestion model (default off: point-to-point).
     congestion: CongestionConfig = field(default_factory=CongestionConfig)
-    #: Transport-model fidelity (default: the calibrated packet model).
+    #: Transport model (packet, the only one); validated here, stamped
+    #: on run records, read by no component.
     fidelity: FidelityConfig = field(default_factory=FidelityConfig)
 
     def __post_init__(self):

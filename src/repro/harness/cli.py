@@ -126,7 +126,7 @@ from ..obs import (
     what_if_all,
     write_chrome_trace,
 )
-from ..config import CONGESTION_ENV, FIDELITY_ENV, FIDELITY_MODES, PFC_ENV
+from ..config import CONGESTION_ENV, PFC_ENV
 from .incastbench import IncastConfig, run_incast
 from .indexbench import sweep_index
 from .lifecycle import RunSpec
@@ -858,12 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="with the congestion model, use lossless "
                              "PFC PAUSE instead of tail drop (implies "
                              "--congestion)")
-    parser.add_argument("--fidelity", choices=list(FIDELITY_MODES),
-                        default=None,
-                        help="transport-model fidelity: 'packet' (the "
-                             "calibrated stepped pipeline, default) or "
-                             "'fluid' (analytic O(1)-event transfers) — see "
-                             "docs/network.md")
     parser.add_argument("--scorecard", metavar="DIR", default=None,
                         help="write BENCH_<figure>.json paper-fidelity "
                              "scorecards into DIR")
@@ -1080,19 +1074,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: List[str] = None) -> int:
     """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     # The fabric modes stay environment-driven: config.py resolves them
     # wherever a cluster is built, including in sweep workers.
     if args.congestion:
         os.environ[CONGESTION_ENV] = "1"
     if args.pfc:
         os.environ[PFC_ENV] = "1"
-    if args.fidelity:
-        os.environ[FIDELITY_ENV] = args.fidelity
     profile = bool(args.profile or args.flame or args.profile_json)
-    spec = RunSpec.from_env(scale=args.scale, audit=args.audit or None,
-                            profile=profile or None,
-                            occupancy=args.occupancy or None, jobs=args.jobs)
+    try:
+        spec = RunSpec.from_env(scale=args.scale, audit=args.audit or None,
+                                profile=profile or None,
+                                occupancy=args.occupancy or None,
+                                jobs=args.jobs)
+    except ValueError as exc:
+        parser.error(str(exc))
     return _dispatch(args, spec)
 
 

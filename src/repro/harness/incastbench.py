@@ -91,11 +91,9 @@ class IncastConfig:
 def _switch_extras(fabric) -> dict:
     """Congestion-side observables for the run's extras block."""
     sw = fabric.switch
-    extras = {"fidelity": fabric.fidelity.mode}
     if sw is None:
-        extras["congested"] = False
-        return extras
-    extras.update({
+        return {"congested": False}
+    return {
         "congested": True,
         "pfc": sw.cfg.pfc,
         "buffer_bytes": sw.cfg.buffer_bytes,
@@ -104,8 +102,7 @@ def _switch_extras(fabric) -> dict:
         "ecn_marks": sw.total_ecn_marks,
         "pfc_pauses": sw.total_pause_events,
         "cnps": fabric.cnps_delivered,
-    })
-    return extras
+    }
 
 
 def run_incast_flock(cfg: IncastConfig, *, congested: bool,

@@ -3,7 +3,7 @@
 A :class:`RunSpec` is the frozen set of *run options* — how long to
 measure, what to audit and profile, which SLO windows and thresholds to
 arm, which faults to inject, how many sweep workers to use — plus the
-fabric modes (congestion, PFC, transport fidelity) the run resolved to.
+fabric modes (congestion, PFC, transport model) the run resolved to.
 :meth:`RunSpec.from_env` is the only reader of the ``REPRO_*`` run
 variables; the CLI resolves one spec per command (flags override the
 environment) and carries it to every sweep point, so worker processes
@@ -31,12 +31,13 @@ report and the spec on the result.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from ..config import (CONGESTION_ENV, FIDELITY_ENV, PFC_ENV,
-                      CongestionConfig, FidelityConfig)
+                      CongestionConfig, FidelityConfig, parse_bool)
 from ..obs import AuditError, Registry, current_telemetry, faults, run_audit
 from ..obs.occupancy import OccupancyTracker
 from ..obs.simprof import SimProfile
@@ -50,17 +51,12 @@ __all__ = ["RunLifecycle", "RunSpec", "run_lifecycle"]
 #: stop measuring anything meaningful; smaller scales are clamped.
 MIN_SCALE = 0.1
 
-_TRUE = ("1", "true", "yes", "on")
-_FALSE = ("0", "false", "no", "off")
 
-
-def _parse_bool(text: str) -> bool:
-    low = text.lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ValueError(text)
+def _parse_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def _parse_faults(text: str) -> Tuple[str, ...]:
@@ -134,7 +130,7 @@ class RunSpec:
         "jobs": ("--jobs", "REPRO_JOBS"),
         "congestion": ("--congestion", CONGESTION_ENV),
         "pfc": ("--pfc", PFC_ENV),
-        "fidelity": ("--fidelity", FIDELITY_ENV),
+        "fidelity": (None, FIDELITY_ENV),
     }
 
     def __post_init__(self):
@@ -151,11 +147,11 @@ class RunSpec:
         naming its variable.  Occupancy follows profiling unless set
         explicitly; the fabric modes come from ``config.py``'s
         resolvers (the CLI exports its net flags before resolving)."""
-        parsers = {"scale": float, "audit": _parse_bool,
-                   "profile": _parse_bool, "occupancy": _parse_bool,
-                   "slo_windows": int, "slo_p50_us": float,
-                   "slo_p99_us": float, "slo_p999_us": float,
-                   "slo_min_mops": float, "faults": _parse_faults,
+        parsers = {"scale": _parse_finite, "audit": parse_bool,
+                   "profile": parse_bool, "occupancy": parse_bool,
+                   "slo_windows": int, "slo_p50_us": _parse_finite,
+                   "slo_p99_us": _parse_finite, "slo_p999_us": _parse_finite,
+                   "slo_min_mops": _parse_finite, "faults": _parse_faults,
                    "jobs": int}
         net = CongestionConfig().resolved()
         values = {"congestion": net.enabled, "pfc": net.pfc,

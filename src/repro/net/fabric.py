@@ -29,8 +29,6 @@ from ..hw import CpuMeter, HostMemory, Rnic
 from ..obs.span import Span
 from ..sim import Event, Simulator
 from .congestion import DcqcnState, Switch
-from .flow import FluidModel
-from .transport import PacketModel
 
 __all__ = ["Node", "Fabric", "build_cluster"]
 
@@ -79,11 +77,6 @@ class Fabric:
         self.switch: Optional[Switch] = (
             Switch(sim, cfg, self.congestion, seed=seed)
             if self.congestion.enabled else None)
-        #: Resolved transport fidelity (env overrides applied here, once).
-        self.fidelity = cfg.fidelity.resolved()
-        #: The model every transfer uses, fixed at construction.
-        self._model = (FluidModel(self) if self.fidelity.mode == "fluid"
-                       else PacketModel(self))
         #: DCQCN limiter per (src node, QP); only populated when the
         #: switch model and DCQCN are both on.
         self._dcqcn: Dict[Tuple[str, int], DcqcnState] = {}
@@ -157,11 +150,9 @@ class Fabric:
         per switch drop.  A carried ``span`` records ``nic_tx`` /
         ``switch_queue`` / ``propagation`` / ``nic_rx`` phases.
 
-        The time evolution itself is delegated to the configured
-        :class:`~repro.net.transport.TransportModel` (packet or fluid):
-        this plain method books the model-independent counters and
-        returns the model's generator for the caller to ``yield from``,
-        so a transfer adds no frame of its own to the resume chain.
+        This plain method books the per-message counters and returns the
+        :meth:`_pipeline` generator for the caller to ``yield from``, so
+        a transfer adds no frame of its own to the resume chain.
         """
         n_packets = src.rnic.packets_for(nbytes)
         wire_bytes = src.rnic.wire_bytes(nbytes)
@@ -171,12 +162,79 @@ class Fabric:
             self._m_wire_bytes.inc(wire_bytes)
             self._m_header_bytes.inc(wire_bytes - nbytes)
             self._m_packets.inc(n_packets)
-        pipeline = self._model.pipeline(
+        pipeline = self._pipeline(
             src, dst, nbytes, wire_bytes, n_packets, src_qpn, dst_qpn,
             rkeys, reliable, jitter_ns, span)
         if self._occ is not None:
             return self._inflight(pipeline)
         return pipeline
+
+    def _pipeline(
+        self,
+        src: Node,
+        dst: Node,
+        nbytes: int,
+        wire_bytes: int,
+        n_packets: int,
+        src_qpn: int,
+        dst_qpn: int,
+        rkeys: Iterable[int],
+        reliable: bool,
+        jitter_ns: float,
+        span: Optional[Span],
+    ) -> Generator[Event, None, bool]:
+        """The stepped message pipeline: tx_process → loss gauntlet →
+        ``switch.traverse`` → propagation → rx_process, each stage a real
+        event (or several)."""
+        sim = self.sim
+        yield from src.rnic.tx_process(nbytes, src_qpn, rkeys, span=span)
+        delay = self.cfg.propagation_ns + src.rnic.cfg.base_latency_ns
+        if jitter_ns > 0:
+            delay += self.rng.random() * jitter_ns
+        if self.loss_prob > 0:
+            # Loss is per packet: a multi-MTU message runs the gauntlet
+            # once per MTU, so large transfers are proportionally more
+            # exposed.  Any lost packet kills an unreliable message; RC
+            # retransmits each lost packet individually.
+            lost = sum(1 for _ in range(n_packets)
+                       if self.rng.random() < self.loss_prob)
+            if lost:
+                if not reliable:
+                    self.messages_dropped += 1
+                    if self._obs:
+                        self._m_drops.inc()
+                    return False
+                # RNIC-level retransmissions: invisible to software.
+                delay += self.retransmit_ns * lost
+                if self._obs:
+                    self._m_retransmits.inc(lost)
+        marked = False
+        if self.switch is not None:
+            while True:
+                accepted, marked = yield from self.switch.traverse(
+                    src.name, dst.name, wire_bytes, span=span)
+                if accepted:
+                    break
+                if not reliable:
+                    self.messages_dropped += 1
+                    if self._obs:
+                        self._m_drops.inc()
+                    return False
+                # Tail drop on RC: hardware go-back-N resubmits the
+                # message after the retransmission timeout.
+                if self._obs:
+                    self._m_retransmits.inc()
+                yield sim.timeout(self.retransmit_ns)
+        if span is not None:
+            span.add_phase("propagation", sim.now, sim.now + delay)
+            span.wait("propagation", sim.now, sim.now + delay)
+        yield sim.timeout(delay)
+        yield from dst.rnic.rx_process(nbytes, dst_qpn, rkeys, span=span)
+        self.messages_delivered += 1
+        if marked and reliable and self.dcqcn_active:
+            # The receiver's CNP generator notifies the marked flow.
+            sim.spawn(self._deliver_cnp(src.name, src_qpn), name="cnp")
+        return True
 
     def _inflight(self, pipeline: Generator[Event, None, bool]
                   ) -> Generator[Event, None, bool]:

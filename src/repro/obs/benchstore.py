@@ -12,7 +12,7 @@ scorecards, :func:`compare_dirs` matches them up by figure and flags:
 Improvements are reported but never gate.  Comparisons are skipped (not
 failed) when run conditions differ — the comparable keys of
 :attr:`repro.harness.lifecycle.RunSpec.COMPARABLE` (``bench_scale``,
-transport fidelity, the congestion and PFC switch modes), since for
+transport model, the congestion and PFC switch modes), since for
 instance scaled-down smoke runs produce numbers that are not comparable
 to full-scale baselines.  The CLI front-end (``repro-bench bench-compare``)
 exits nonzero iff regressions were found, which is the CI gate.
@@ -21,6 +21,7 @@ exits nonzero iff regressions were found, which is the CI gate.
 from __future__ import annotations
 
 import glob
+import math
 import os
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -109,6 +110,11 @@ class CompareReport:
 
 def _is_regression(better: str, base: float, cur: float,
                    rtol: float, atol: float) -> bool:
+    if better == "info":
+        return False  # "info" never gates
+    if not math.isfinite(cur) and math.isfinite(base):
+        # NaN compares False both ways, so it would pass every bound.
+        return True
     tol = atol + rtol * abs(base)
     if better == "higher":
         return cur < base - tol
@@ -116,7 +122,7 @@ def _is_regression(better: str, base: float, cur: float,
         return cur > base + tol
     if better == "equal":
         return abs(cur - base) > tol
-    return False  # "info" never gates
+    return False
 
 
 def compare_scorecards(baseline: Scorecard,

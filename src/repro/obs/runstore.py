@@ -108,7 +108,8 @@ def config_fingerprint(scorecards: List[Scorecard]) -> str:
     what comparable meta (:attr:`repro.harness.lifecycle.RunSpec.
     COMPARABLE`).  Two runs with equal fingerprints are meaningfully
     diffable — in particular, ``runs diff`` never silently compares a
-    fluid or congested run against a packet, contention-free one."""
+    congested run against a contention-free one, nor a run stamped with
+    another transport model against a packet one."""
     from ..harness.lifecycle import RunSpec  # obs is imported by harness
 
     shape = sorted(RunSpec.fingerprint_row(sc.figure, sc.meta)

@@ -71,8 +71,6 @@ def component_bucket(filename: str) -> str:
     if head == "net":
         if len(sub) > 1 and sub[1] == "congestion":
             return "switch"
-        if leaf.startswith("flow"):
-            return "flow"
         return "fabric"
     if head == "hw":
         return "pcie" if leaf.startswith("pcie") else "rnic"
@@ -137,8 +135,7 @@ class SimProfile:
         A process resume walks the generator's ``yield from`` chain to
         the *innermost* active frame: an app-spawned RPC blocked inside
         ``switch.traverse`` is switch cost, not app cost.  That is what
-        makes "fabric-owned events" measurable — the datum the
-        fluid-vs-packet bench gate compares.
+        makes "fabric-owned events" measurable.
         """
         if not callbacks:
             if type(event).__name__ == "Timeout":

@@ -18,10 +18,27 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_hybrid_fidelity_is_a_usage_error(self, capsys):
+        # Packet is the only transport model, so there is no flag to pick
+        # one: any --fidelity value is rejected by the parser.
+        assert "--fidelity" not in build_parser().format_help()
+        for mode in ("hybrid", "fluid", "packet"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["--fidelity", mode, "fig6"])
+            assert exc.value.code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("var,raw", [("REPRO_JOBS", "many"),
+                                         ("REPRO_FIDELITY", "fluid"),
+                                         ("REPRO_PFC", "nah"),
+                                         ("REPRO_BENCH_SCALE", "inf")])
+    def test_malformed_run_option_is_a_usage_error(self, monkeypatch,
+                                                   capsys, var, raw):
+        monkeypatch.setenv(var, raw)
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["--fidelity", "hybrid", "fig6"])
+            main(["fig2a", "--qps", "8", "--clients", "2"])
         assert exc.value.code == 2
-        assert "invalid choice: 'hybrid'" in capsys.readouterr().err
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "error: %s=%r" % (var, raw) in last
 
     def test_defaults(self):
         args = build_parser().parse_args(["fig6"])

@@ -39,6 +39,12 @@ MALFORMED = [
     ("jobs", "many"),
     ("fidelity", "quantum"),
     ("fidelity", "hybrid"),
+    ("fidelity", "fluid"),
+    ("congestion", "maybe"),
+    ("pfc", "nah"),
+    ("scale", "inf"),
+    ("scale", "nan"),
+    ("slo_p99_us", "nan"),
 ]
 
 
@@ -94,15 +100,21 @@ class TestRunSpec:
         monkeypatch.setenv("REPRO_AUDIT", "yes")
         monkeypatch.setenv("REPRO_SLO_P99_US", "50")
         monkeypatch.setenv("REPRO_FAULTS", "credits.drop_refill, verbs.leak_cqe")
-        monkeypatch.setenv(PFC_ENV, "1")
-        monkeypatch.setenv(FIDELITY_ENV, "fluid")
+        monkeypatch.setenv(PFC_ENV, "On")
+        monkeypatch.setenv(FIDELITY_ENV, "packet")
         spec = RunSpec.from_env()
         assert spec.audit
         assert spec.slo_thresholds.p99_us == 50.0
         assert spec.faults == ("credits.drop_refill", "verbs.leak_cqe")
         # PFC implies the congestion model (config.py's resolver).
         assert spec.congestion and spec.pfc
-        assert spec.fidelity == "fluid"
+        assert spec.fidelity == "packet"
+
+    def test_false_words_turn_a_switch_off(self, monkeypatch):
+        monkeypatch.setenv(CONGESTION_ENV, "no")
+        monkeypatch.setenv(PFC_ENV, "0")
+        spec = RunSpec.from_env()
+        assert not spec.congestion and not spec.pfc
 
     def test_scale_is_clamped(self):
         assert RunSpec(scale=0.01).scale == 0.1

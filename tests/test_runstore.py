@@ -11,8 +11,10 @@ regression or a bad reference, without a traceback.
 import json
 import multiprocessing
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.harness.cli import main
 from repro.obs.runstore import (
@@ -87,16 +89,37 @@ class TestRecord:
         assert rec.metric("figX", "mops") == 33.0
         assert rec.passed
 
-    def test_torn_tail_is_skipped_then_quarantined(self, store):
-        store.record([make_scorecard()], label="whole")
-        torn = '{"id": 2, "lab'
-        with open(store.path, "a") as fh:
-            fh.write(torn)  # a writer killed mid-record: no newline
-        assert [r.label for r in store.list()] == ["whole"]
-        assert store.record([make_scorecard()], label="next").run_id == 2
-        assert [r.label for r in store.list()] == ["whole", "next"]
-        with open(store.path + ".torn") as fh:
-            assert fh.read() == torn + "\n"
+    @given(earlier=st.integers(min_value=1, max_value=3), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_torn_tail_is_skipped_then_quarantined(self, earlier, data):
+        """A writer killed at any byte of a real record loses only that
+        record: earlier ones still read, ids continue, and the cut bytes
+        move to ``runs.jsonl.torn``."""
+        with tempfile.TemporaryDirectory() as root:
+            store = RunStore(root)
+            for i in range(earlier + 1):
+                # A fixed timestamp keeps the record length, and so the
+                # range of cut offsets, the same on every replay.
+                store.record([make_scorecard(mops=float(i))],
+                             label="run%d" % i, timestamp=1_700_000_000.0)
+            with open(store.path, "rb") as fh:
+                blob = fh.read()
+            start = blob.rstrip(b"\n").rfind(b"\n") + 1
+            victim = blob[start:]  # the last record, newline included
+            cut = data.draw(st.integers(0, len(victim) - 1), label="cut")
+            with open(store.path, "r+b") as fh:
+                fh.truncate(start + cut)
+            labels = ["run%d" % i for i in range(earlier)]
+            assert [r.label for r in store.list()] == labels
+            rec = store.record([make_scorecard()], label="next")
+            assert rec.run_id == earlier + 1
+            assert [r.label for r in store.list()] == labels + ["next"]
+            torn = store.path + ".torn"
+            if cut == 0:
+                assert not os.path.exists(torn)
+            else:
+                with open(torn, "rb") as fh:
+                    assert fh.read() == victim[:cut] + b"\n"
 
 
 def _record_many(root, n):

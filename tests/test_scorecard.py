@@ -129,6 +129,15 @@ class TestCompare:
         cur.add_metric("degree", 2.1)
         assert compare_scorecards(base, cur).ok
 
+    @pytest.mark.parametrize("better", ["higher", "lower", "equal", "info"])
+    def test_non_finite_current_gates_unless_info(self, better):
+        base = Scorecard("figx")
+        base.add_metric("m", 2.0, better=better, rtol=0.10)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            cur = Scorecard("figx")
+            cur.add_metric("m", bad)
+            assert compare_scorecards(base, cur).ok == (better == "info"), bad
+
     def test_tolerance_comes_from_baseline(self):
         base, cur = self._pair()
         cur.metric("tput").value = 90.0
