@@ -39,7 +39,7 @@ from .message import (
     CoalescedMessage,
     RpcRequest,
     RpcResponse,
-    coalesced_size,
+    coalesced_overhead,
 )
 from .qp_scheduler import HoldLedger, UtilizationTable, compute_allocation
 from .ringbuf import RingBuffer, SenderView
@@ -716,7 +716,7 @@ class FlockClient:
             if rpc_pending:
                 first = next(s for s in tcq.pending
                              if isinstance(s.request, RpcRequest))
-                first_bytes = coalesced_size([first.request.size])
+                first_bytes = coalesced_overhead(1) + first.request.size
                 if not channel.sender_view.has_space(first_bytes):
                     # §4.1: the sender checks its cached copy of the
                     # remote Head and waits for free ring space
@@ -755,7 +755,7 @@ class FlockClient:
                               channel.sender_view.available_bytes())
             batch = []
             n_rpc = 0
-            wire = coalesced_size([])
+            wire = coalesced_overhead(0)
             while tcq.pending and len(batch) < limit:
                 nxt = tcq.pending[0]
                 if isinstance(nxt.request, RpcRequest):

@@ -253,19 +253,6 @@ class Fabric:
         """Spawn :meth:`transfer` as a background process; returns it."""
         return self.sim.spawn(self.transfer(*args, **kwargs), name="xfer")
 
-    def congestion_snapshot(self) -> dict:
-        """Switch + DCQCN state for reporting (empty when disabled)."""
-        if self.switch is None:
-            return {}
-        snap = self.switch.snapshot()
-        snap["cnps_delivered"] = self.cnps_delivered
-        snap["flows"] = {
-            "%s/qp%d" % key: st.snapshot()
-            for key, st in sorted(self._dcqcn.items())
-            if st.cnps or st.throttled
-        }
-        return snap
-
 
 def build_cluster(sim: Simulator, cfg: ClusterConfig):
     """Create (servers, clients, fabric) per a :class:`ClusterConfig`."""

@@ -4,6 +4,13 @@ These model contention: a CPU core, an RNIC processing unit, or a lock is a
 :class:`Resource`; a completion queue or a ring of incoming messages is a
 :class:`Store`.  All wait queues are strictly FIFO so simulations stay
 deterministic.
+
+A queue costs nothing until it is used: every wait queue and item queue
+starts as the shared empty tuple :data:`_IDLE` and becomes a ``deque`` at
+its first append.  Truth tests, ``len`` and iteration read the tuple as an
+empty queue, so only the append sites check for it.  A simulation with
+thousands of QPs builds three stores per QP, most of which never hold
+anything.
 """
 
 from __future__ import annotations
@@ -14,6 +21,9 @@ from typing import Any, Deque, Optional
 from .core import Event, SimulationError, Simulator
 
 __all__ = ["Resource", "Store", "SpinLock", "TokenBucket", "TrackedStore"]
+
+#: Stand-in for a queue that has never held anything (see module doc).
+_IDLE: Any = ()
 
 
 class Resource:
@@ -39,7 +49,7 @@ class Resource:
         #: Wait-edge resource label for causal attribution.
         self.name = name
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Deque[Event] = _IDLE
         #: Acquires that found the resource full (always counted).
         self.contended = 0
         #: Cumulative contended-wait ns (only accumulated for traced
@@ -68,7 +78,10 @@ class Resource:
             self._in_use += 1
             ev.succeed()
         else:
-            self._waiters.append(ev)
+            waiters = self._waiters
+            if waiters is _IDLE:
+                waiters = self._waiters = deque()
+            waiters.append(ev)
             self.contended += 1
             if span is not None:
                 t0 = self.sim.now
@@ -131,9 +144,9 @@ class Store:
     def __init__(self, sim: Simulator, capacity: Optional[int] = None):
         self.sim = sim
         self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()
+        self.items: Deque[Any] = _IDLE
+        self._getters: Deque[Event] = _IDLE
+        self._putters: Deque[tuple] = _IDLE
 
     def __len__(self) -> int:
         return len(self.items)
@@ -146,10 +159,16 @@ class Store:
             self._getters.popleft().succeed(item)
             ev.succeed()
         elif self.capacity is None or len(self.items) < self.capacity:
-            self.items.append(item)
+            items = self.items
+            if items is _IDLE:
+                items = self.items = deque()
+            items.append(item)
             ev.succeed()
         else:
-            self._putters.append((ev, item))
+            putters = self._putters
+            if putters is _IDLE:
+                putters = self._putters = deque()
+            putters.append((ev, item))
         return ev
 
     def try_put(self, item: Any) -> bool:
@@ -158,7 +177,10 @@ class Store:
             self._getters.popleft().succeed(item)
             return True
         if self.capacity is None or len(self.items) < self.capacity:
-            self.items.append(item)
+            items = self.items
+            if items is _IDLE:
+                items = self.items = deque()
+            items.append(item)
             return True
         return False
 
@@ -173,7 +195,10 @@ class Store:
                 put_ev.succeed()
             ev.succeed(item)
         else:
-            self._getters.append(ev)
+            getters = self._getters
+            if getters is _IDLE:
+                getters = self._getters = deque()
+            getters.append(ev)
         return ev
 
     def try_get(self) -> tuple:
@@ -197,7 +222,8 @@ class TrackedStore(Store):
     * ``accepted`` / ``reaped`` — items that entered / left the queue,
     * ``wait_ns`` — total time completed items spent queued,
     * ``area`` — the time integral of queue depth (``∫ L(t) dt``),
-    * ``arrivals`` — entry timestamps of the items currently queued.
+    * ``arrivals`` — entry timestamps of the items currently queued
+      (created at the first tracked arrival; nothing reads it untracked).
 
     These give two *independent* accountings of the same queue: the area
     integral accumulates depth × elapsed-time at every mutation, while
@@ -223,7 +249,7 @@ class TrackedStore(Store):
         self.reaped = 0
         self.wait_ns = 0.0
         self.area = 0.0
-        self.arrivals: Deque[float] = deque()
+        self.arrivals: Deque[float] = _IDLE
         self._area_t = sim.now
         if track:
             # Surface the queue to the end-of-run auditors.
@@ -237,6 +263,13 @@ class TrackedStore(Store):
         if now > self._area_t:
             self.area += len(self.items) * (now - self._area_t)
             self._area_t = now
+
+    def _arrive(self) -> None:
+        """Stamp the entry time of an item that just joined the queue."""
+        arrivals = self.arrivals
+        if arrivals is _IDLE:
+            arrivals = self.arrivals = deque()
+        arrivals.append(self.sim.now)
 
     def _sync_arrivals(self) -> None:
         """Stamp arrivals for items a queued putter just slid in."""
@@ -267,7 +300,7 @@ class TrackedStore(Store):
             self.reaped += 1
         elif len(self.items) > depth_before:
             self.accepted += 1
-            self.arrivals.append(self.sim.now)
+            self._arrive()
         return ev
 
     def try_put(self, item: Any) -> bool:
@@ -281,7 +314,7 @@ class TrackedStore(Store):
             if handed:
                 self.reaped += 1
             else:
-                self.arrivals.append(self.sim.now)
+                self._arrive()
         return ok
 
     def get(self) -> Event:

@@ -121,10 +121,6 @@ class QueuePair:
         for _ in range(n):
             self.recv_buffers.try_put(length)
 
-    @property
-    def recv_posted(self) -> int:
-        return len(self.recv_buffers)
-
     # -- send path ----------------------------------------------------------
 
     def post_send(self, wr: WorkRequest, remote: Optional["QueuePair"] = None) -> Event:
