@@ -24,20 +24,33 @@ from .hydralist import _DataNode
 __all__ = ["NumaHydraList", "SearchLayerReplica"]
 
 
+class _FencedNode(_DataNode):
+    """A data node with a fixed lower fence: the split key it was created
+    with (``None``, i.e. minus infinity, for the head).  Unlike
+    ``min_key`` the fence survives removals, so a node emptied or
+    shrunk by deletes still routes lookups past it."""
+
+    __slots__ = ("low",)
+
+    def __init__(self, low: Any = None):
+        super().__init__()
+        self.low = low
+
+
 class SearchLayerReplica:
     """One NUMA node's private search layer with its pending-update queue."""
 
     __slots__ = ("keys", "nodes", "pending", "stale_traversals", "merges")
 
-    def __init__(self, head: _DataNode):
+    def __init__(self, head: _FencedNode):
         self.keys: List[Any] = []
-        self.nodes: List[_DataNode] = [head]
+        self.nodes: List[_FencedNode] = [head]
         #: Splits broadcast but not yet merged into this replica.
-        self.pending: List[_DataNode] = []
+        self.pending: List[_FencedNode] = []
         self.stale_traversals = 0
         self.merges = 0
 
-    def locate(self, key: Any) -> _DataNode:
+    def locate(self, key: Any) -> _FencedNode:
         """Descend this replica, then chase next-links past unmerged
         splits (the staleness-tolerance mechanism)."""
         if self.keys:
@@ -45,8 +58,7 @@ class SearchLayerReplica:
             node = self.nodes[idx]
         else:
             node = self.nodes[0]
-        while (node.next is not None and node.next.keys
-               and node.next.keys[0] <= key):
+        while node.next is not None and node.next.low <= key:
             node = node.next
             self.stale_traversals += 1
         return node
@@ -57,8 +69,8 @@ class SearchLayerReplica:
             return 0
         merged = len(self.pending)
         for node in self.pending:
-            idx = bisect.bisect_left(self.keys, node.min_key)
-            self.keys.insert(idx, node.min_key)
+            idx = bisect.bisect_left(self.keys, node.low)
+            self.keys.insert(idx, node.low)
             self.nodes.insert(idx + 1, node)
         self.pending = []
         self.merges += 1
@@ -81,7 +93,7 @@ class NumaHydraList:
             raise ValueError("need at least one NUMA node")
         self.node_capacity = node_capacity
         self.updater_batch = updater_batch
-        head = _DataNode()
+        head = _FencedNode()
         self._head = head
         self.replicas: List[SearchLayerReplica] = [
             SearchLayerReplica(head) for _ in range(numa_nodes)]
@@ -92,7 +104,7 @@ class NumaHydraList:
     def _replica(self, numa: int) -> SearchLayerReplica:
         return self.replicas[numa % len(self.replicas)]
 
-    def _broadcast_split(self, sibling: _DataNode) -> None:
+    def _broadcast_split(self, sibling: _FencedNode) -> None:
         for replica in self.replicas:
             replica.pending.append(sibling)
         # Bound staleness the way the updater thread does: merge a
@@ -114,7 +126,7 @@ class NumaHydraList:
         self.size += 1
         if len(node.keys) > self.node_capacity:
             half = len(node.keys) // 2
-            sibling = _DataNode()
+            sibling = _FencedNode(node.keys[half])
             sibling.keys = node.keys[half:]
             sibling.values = node.values[half:]
             node.keys = node.keys[:half]
@@ -145,7 +157,7 @@ class NumaHydraList:
         if count < 0:
             raise ValueError("negative scan count")
         out: List[Tuple[Any, Any]] = []
-        node: Optional[_DataNode] = self._replica(numa).locate(start_key)
+        node: Optional[_FencedNode] = self._replica(numa).locate(start_key)
         idx = bisect.bisect_left(node.keys, start_key)
         while node is not None and len(out) < count:
             while idx < len(node.keys) and len(out) < count:
@@ -157,7 +169,7 @@ class NumaHydraList:
 
     def items(self) -> Iterable[Tuple[Any, Any]]:
         """All pairs in key order (from the shared data list)."""
-        node: Optional[_DataNode] = self._head
+        node: Optional[_FencedNode] = self._head
         while node is not None:
             yield from zip(node.keys, node.values)
             node = node.next

@@ -81,6 +81,23 @@ class TestReplicatedSearchLayers:
             index.insert(key, key, numa=0)
         assert index.max_replica_lag() < 8
 
+    def test_lookup_passes_node_emptied_by_removals(self):
+        """An unmerged split emptied by deletes must not hide the nodes
+        after it, before or after the replica merges it."""
+        index = NumaHydraList(node_capacity=3, numa_nodes=1,
+                              updater_batch=16)
+        for key in range(6):
+            index.insert(key, key * 3, numa=0)
+        assert index.remove(2, numa=0) and index.remove(3, numa=0)
+        for key in (0, 1, 4, 5):
+            assert index.get(key, numa=0) == key * 3
+        index.run_updater_pass()
+        for key in (0, 1, 4, 5):
+            assert index.get(key, numa=0) == key * 3
+        index.insert(2, "back", numa=0)
+        assert list(index.items()) == [(0, 0), (1, 3), (2, "back"),
+                                       (4, 12), (5, 15)]
+
     def test_merged_replica_is_faster_path(self):
         """After merging, reads on that replica stop chasing."""
         index = NumaHydraList(node_capacity=2, numa_nodes=1,
